@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-paper perfbench allocbench allocbench-smoke doc clean examples trace-smoke stress sweep-smoke fault-smoke policy-matrix pdes-smoke check-smoke
+.PHONY: all build test bench bench-paper perfbench allocbench allocbench-smoke doc clean examples trace-smoke stress sweep-smoke fault-smoke policy-matrix check-smoke
 
 all: build
 
@@ -79,21 +79,6 @@ policy-matrix:
 fault-smoke:
 	dune exec bin/lcm_sim.exe -- stress --cases 40 --seed 1 \
 	  --fault-rate 0.05 --fault-profile chaos --fault-seed 7
-
-# Parallel-engine smoke: the same benchmark sequentially and sharded
-# across 2 domains (--jobs 2, conservative PDES driver) must print
-# byte-identical results and stats — the determinism contract of
-# DESIGN.md §8.  The full oracle (pinned fingerprints at jobs=4, forced
-# worker domains, crash/budget parity) runs as part of `dune runtest`
-# (test_pdes, test_equiv).
-pdes-smoke:
-	dune exec bin/lcm_sim.exe -- stencil --system lcm-mcc --nodes 8 \
-	  --size 24 --iters 3 --stats > /tmp/lcm_pdes_j1.txt
-	dune exec bin/lcm_sim.exe -- stencil --system lcm-mcc --nodes 8 \
-	  --size 24 --iters 3 --stats --jobs 2 | grep -v '^pdes:' \
-	  > /tmp/lcm_pdes_j2.txt
-	diff /tmp/lcm_pdes_j1.txt /tmp/lcm_pdes_j2.txt
-	@echo "pdes-smoke: jobs=1 and jobs=2 byte-identical"
 
 # Tiny parallel sweep through the fleet pool: exercises domain workers,
 # progress, and the JSON/CSV summary writers in a few seconds.  Also runs

@@ -10,62 +10,59 @@
 
 open Lcm_harness
 
-let scale =
-  if Array.exists (( = ) "--paper") Sys.argv then Experiments.Paper
-  else Experiments.Quick
-
-let run_micro = not (Array.exists (( = ) "--no-micro") Sys.argv)
-
-(* --jobs N (0 = auto): spread each section's independent cells over
+(* Command line, parsed once before any section runs.  A bad value exits 2
+   with a message naming the flag and the value.
+   --jobs N (0 = auto): spread each section's independent cells over
    worker domains.  Results are bit-identical to the sequential run —
-   cells are keyed by index — so only wall-clock changes. *)
-let jobs =
-  let rec find i =
-    if i >= Array.length Sys.argv - 1 then 1
-    else if Sys.argv.(i) = "--jobs" then
-      match int_of_string_opt Sys.argv.(i + 1) with
-      | Some n -> n
-      | None -> failwith "bench: --jobs expects an integer"
-    else find (i + 1)
-  in
-  find 1
-
-(* --fault-rate R [--fault-profile NAME] [--fault-seed S]: run the whole
+   cells are keyed by index — so only wall-clock changes.
+   --fault-rate R [--fault-profile NAME] [--fault-seed S]: run the whole
    evaluation over a deterministically unreliable interconnect.  The
    differential-validation and claims sections then double as an
    end-to-end check that retransmission preserves every result. *)
-let faults =
-  let value_of flag =
-    let rec find i =
-      if i >= Array.length Sys.argv - 1 then None
-      else if Sys.argv.(i) = flag then Some Sys.argv.(i + 1)
-      else find (i + 1)
-    in
-    find 1
+let scale, run_micro, jobs, faults =
+  let paper = ref false and no_micro = ref false and jobs = ref 1 in
+  let rate = ref 0.0 and profile = ref "drop" and seed = ref 7 in
+  let bad fmt = Printf.ksprintf (fun m -> raise (Arg.Bad m)) fmt in
+  let usage =
+    "main [--paper] [--no-micro] [--jobs N] [--fault-rate R [--fault-profile \
+     NAME] [--fault-seed S]]"
   in
-  match value_of "--fault-rate" with
-  | None -> None
-  | Some r -> (
-    let rate =
-      match float_of_string_opt r with
-      | Some f -> f
-      | None -> failwith "bench: --fault-rate expects a number"
-    in
-    if rate < 0.0 then failwith "bench: --fault-rate must be in [0,1]"
-    else if rate = 0.0 then None
-    else
-      let profile = Option.value (value_of "--fault-profile") ~default:"drop" in
-      let seed =
-        match value_of "--fault-seed" with
-        | None -> 7
-        | Some s -> (
-          match int_of_string_opt s with
-          | Some n -> n
-          | None -> failwith "bench: --fault-seed expects an integer")
-      in
-      match Lcm_net.Faults.of_profile profile ~rate ~seed with
-      | Ok plan -> Some plan
-      | Error e -> failwith ("bench: " ^ e))
+  Arg.parse
+    [
+      ("--paper", Arg.Set paper, " the paper's full problem sizes");
+      ("--no-micro", Arg.Set no_micro, " skip the Bechamel micro-benchmarks");
+      ( "--jobs",
+        Arg.Int
+          (fun n ->
+            if n < 0 then bad "--jobs %d: must be >= 0 (0 = auto)" n;
+            jobs := n),
+        "N worker domains for each section's cells (default 1; 0 = auto)" );
+      ( "--fault-rate",
+        Arg.Float
+          (fun r ->
+            if not (r >= 0.0 && r <= 1.0) then
+              bad "--fault-rate %g: must be in [0,1]" r;
+            rate := r),
+        "R per-message fault rate (default 0: reliable interconnect)" );
+      ( "--fault-profile",
+        Arg.Set_string profile,
+        "NAME fault profile (default drop; see Lcm_net.Faults.profiles)" );
+      ("--fault-seed", Arg.Set_int seed, "S fault RNG seed (default 7)");
+    ]
+    (fun a -> raise (Arg.Bad ("unknown argument " ^ a)))
+    usage;
+  let faults =
+    match Lcm_net.Faults.of_profile !profile ~rate:!rate ~seed:!seed with
+    | Error e ->
+      Printf.eprintf "%s: --fault-profile %s: %s\n" Sys.argv.(0) !profile e;
+      exit 2
+    | Ok _ when !rate = 0.0 -> None
+    | Ok plan -> Some plan
+  in
+  ( (if !paper then Experiments.Paper else Experiments.Quick),
+    not !no_micro,
+    !jobs,
+    faults )
 
 (* Every section is a fleet sweep; crashes/invariant violations in a cell
    must still abort the harness, hence rows_exn. *)

@@ -227,48 +227,6 @@ let all_runs ~smoke ~jobs () =
   runs
 
 (* ------------------------------------------------------------------ *)
-(* PDES strong scaling                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* One simulation sharded across domains (--jobs on a single run), as
-   opposed to the fleet parallelism above (whole cells per domain).  Runs
-   on the calling domain so the cell pool never contends with the drain
-   pool.  Doubles as a determinism check: sim_cycles must be identical at
-   every job count or the conservative driver is broken.
-
-   Honesty note: on a 1-core container [recommended_domain_count] is 1,
-   the drain pool is empty, and jobs > 1 measures pure coordination
-   overhead (windowing + k-way merge), not speedup.  The JSON records the
-   host's domain count so a trajectory reader can tell the two apart. *)
-let pdes_scaling ~smoke () =
-  let sn, si, snodes = if smoke then (16, 2, 8) else (64, 10, 32) in
-  let base_name = Printf.sprintf "pdes-stencil-%dx%d-i%d-p%d" sn sn si snodes in
-  let run_at j =
-    measure
-      ~workload:(Printf.sprintf "%s/jobs%d" base_name j)
-      ~policy:Config.lcm_mcc.Config.label
-      (fun () ->
-        Lcm_sim.Pdes.with_jobs ~jobs:j
-          (stencil ~nnodes:snodes ~n:sn ~iters:si Config.lcm_mcc))
-  in
-  let rs = List.map run_at [ 1; 2; 4 ] in
-  (match rs with
-  | base :: rest ->
-    List.iter
-      (fun r ->
-        if r.sim_cycles <> base.sim_cycles || r.events <> base.events then begin
-          Printf.eprintf
-            "perf: FATAL: pdes scaling diverged: %s got %d cycles / %d \
-             events, jobs1 got %d / %d\n"
-            r.workload r.sim_cycles r.events base.sim_cycles base.events;
-          exit 1
-        end)
-      rest
-  | [] -> ());
-  List.iter print_run rs;
-  rs
-
-(* ------------------------------------------------------------------ *)
 (* Allocation rig                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -550,18 +508,10 @@ let () =
     Printf.printf "%-28s %-16s %10s %13s %15s %12s %11s\n" "workload" "policy"
       "wall" "events" "events/sec" "sim-cycles" "peak-rss";
     let after = all_runs ~smoke:!smoke ~jobs:!jobs () in
-    let pdes_runs = pdes_scaling ~smoke:!smoke () in
     write_doc
       [
         ("jobs", Report.Json.Int (Fleet.resolve_jobs !jobs));
         ("host_domains", Report.Json.Int (Domain.recommended_domain_count ()));
-        ("pdes_scaling", runs_json pdes_runs);
-        ( "pdes_note",
-          Report.Json.Str
-            "one simulation sharded across domains; identical sim_cycles \
-             at every job count is asserted.  With host_domains = 1 the \
-             drain pool is empty and jobs > 1 measures coordination \
-             overhead, not speedup." );
       ]
       after
   end

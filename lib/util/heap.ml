@@ -87,10 +87,9 @@ let add h ~key value =
   h.size <- i + 1;
   sift_up h i
 
-(* Caller-stamped insertion for the PDES shard queues: one coordinator
-   allocates seqs across several heaps so that a k-way merge by
-   (key, seq) reproduces the pop order a single FIFO heap would give.
-   next_seq is kept strictly above every explicit stamp so a later plain
+(* Caller-stamped insertion for the engine's choice hook: tie candidates
+   that were not chosen go back with their original seqs, so the heap
+   pops them in the order a plain FIFO heap would have.  next_seq is kept strictly above every explicit stamp so a later plain
    [add] can never collide with (and tie ambiguously against) a
    caller-provided stamp. *)
 let add_stamped h ~key ~seq value =

@@ -11,8 +11,7 @@ type 'a t
 val create : ?hint:int -> unit -> 'a t
 (** [create ?hint ()] is a fresh empty heap.  [hint] (default 16) is the
     capacity of the first backing allocation — a caller that knows its
-    steady-state occupancy (the engine's event queue, a PDES shard)
-    skips the grow-and-copy ladder from 16 upward.  Arrays are not
+    steady-state occupancy (the engine's event queue) skips the grow-and-copy ladder from 16 upward.  Arrays are not
     allocated until the first {!add}, so an over-hinted heap that stays
     empty costs nothing.  Growth past the hint still doubles.
     @raise Invalid_argument if [hint] is not positive. *)
@@ -32,16 +31,15 @@ val add : 'a t -> key:int -> 'a -> unit
 
 val add_stamped : 'a t -> key:int -> seq:int -> 'a -> unit
 (** [add_stamped h ~key ~seq v] inserts [v] with an explicit tie-break
-    stamp instead of the internal counter.  Used by the parallel engine's
-    shard queues: one coordinator allocates stamps across several heaps so
-    that merging them by [(key, seq)] reproduces exactly the order a
-    single heap fed by {!add} would pop.  The caller owns stamp
-    uniqueness; the internal counter is advanced past [seq] so later
-    {!add}s never collide. *)
+    stamp instead of the internal counter.  Used by the engine's choice
+    hook: events popped as tie candidates but not chosen go back with the
+    stamps they were popped with, so they keep their FIFO place among
+    equal keys.  The caller owns stamp uniqueness; the internal counter
+    is advanced past [seq] so later {!add}s never collide. *)
 
 val top_seq : 'a t -> int
-(** [top_seq h] is the tie-break stamp of the minimum element — the value
-    compared against other heaps' tops in a k-way merge.
+(** [top_seq h] is the tie-break stamp of the minimum element — read
+    before popping so the element can be re-inserted with {!add_stamped}.
     @raise Invalid_argument if [h] is empty. *)
 
 val min_key : 'a t -> int option

@@ -63,6 +63,22 @@ let test_hook_sees_all_candidates () =
   Alcotest.(check (list int)) "candidate counts" [ 3; 2; 1; 1 ]
     (List.rev !sizes)
 
+(* The owner hint given at scheduling time is what the hook sees next to
+   each candidate's stamp; an unhinted event presents -1. *)
+let test_hook_sees_owner_hints () =
+  let seen = ref [] in
+  let e = Engine.create () in
+  Engine.schedule e ~owner:3 ~at:10 (fun () -> ());
+  Engine.schedule_call e ~owner:5 ~at:10 (fun () _ _ -> ()) () 0 0;
+  Engine.schedule e ~at:10 (fun () -> ());
+  Engine.set_choice_hook e
+    (Some
+       (fun cands ->
+         if !seen = [] then seen := Array.to_list (Array.map snd cands);
+         0));
+  Engine.run e;
+  Alcotest.(check (list int)) "owners in FIFO order" [ 3; 5; -1 ] !seen
+
 let test_hook_bad_index_rejected () =
   let e = Engine.create () in
   Engine.schedule e ~at:5 (fun () -> ());
@@ -282,6 +298,7 @@ let () =
           ("default is FIFO", `Quick, test_hook_default_is_fifo);
           ("hook reorders ties", `Quick, test_hook_reorders_ties);
           ("hook sees every candidate", `Quick, test_hook_sees_all_candidates);
+          ("hook sees owner hints", `Quick, test_hook_sees_owner_hints);
           ("bad index rejected", `Quick, test_hook_bad_index_rejected);
         ] );
       ( "spec",

@@ -131,8 +131,9 @@ let prop_heap_fifo_equal_keys =
 
 (* Caller-stamped insertion: spraying one stamp-ordered stream across
    several heaps and merging back by (top_key, top_seq) must reproduce the
-   single-heap pop order exactly — the invariant the PDES shard queues
-   rely on. *)
+   single-heap pop order exactly.  This guards the stamp order that the
+   engine's choice hook relies on when it re-inserts the tie candidates
+   it did not pick with [add_stamped]. *)
 let prop_heap_stamped_merge =
   QCheck.Test.make ~name:"add_stamped k-way merge ≡ single heap" ~count:300
     QCheck.(pair (int_range 1 4) (list (int_bound 3)))
