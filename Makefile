@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-paper perfbench allocbench allocbench-smoke doc clean examples trace-smoke stress sweep-smoke fault-smoke policy-matrix check-smoke
+.PHONY: all build test bench bench-paper perfbench perfbench-smoke allocbench allocbench-smoke doc clean examples trace-smoke stress sweep-smoke fault-smoke policy-matrix check-smoke
 
 all: build
 
@@ -24,6 +24,21 @@ bench-paper:
 # comparisons.
 perfbench:
 	dune exec bench/perf.exe -- --out BENCH_perf.json
+
+# One traced second of each perfbench workload; fails unless every result
+# line reports "correct": true.  perfbench/probes.ml drives Machine,
+# Proto, Network and Engine internals directly, so this also catches API
+# drift under the benchmark.
+perfbench-smoke:
+	@for w in paper-figures bus-scaling verify-chaos; do \
+	  out=$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 \
+	    --trace 1 | tail -n 1); \
+	  echo "$$w: $$(echo "$$out" | cut -c 1-60)"; \
+	  case "$$out" in \
+	    *'"correct": true'*) ;; \
+	    *) echo "perfbench-smoke: $$w did not report correct: true"; exit 1 ;; \
+	  esac; \
+	done
 
 # Host allocation profile: GC minor words / promoted words / major
 # collections and minor words per simulated event for the two pinned

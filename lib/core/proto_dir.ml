@@ -1,4 +1,5 @@
 module ISet = Lcm_util.Nodeset
+module Blocktbl = Lcm_util.Blocktbl
 module Machine = Lcm_tempest.Machine
 module Memeff = Lcm_tempest.Memeff
 module Tag = Lcm_tempest.Tag
@@ -126,7 +127,7 @@ type t = {
   barrier : Barrier.style;
   detect : bool;
   strict_detection : bool;
-  entries : (int, entry) Hashtbl.t;
+  entries : entry Blocktbl.t;
   reductions : (int, Reduction.t) Hashtbl.t;  (* block -> operator *)
   pending_retries : (int, (unit -> unit) list) Hashtbl.t array;  (* per node *)
   pending_marks : int list ref array;
@@ -157,9 +158,9 @@ let ctrl_words = 2
 let data_words t = wpb t + 2
 
 let get_entry t b =
-  match Hashtbl.find t.entries b with
-  | e -> e
-  | exception Not_found ->
+  match if b < 0 then None else Blocktbl.find_opt t.entries b with
+  | Some e -> e
+  | None ->
     (* A directory entry materialises on first touch, but only for a block
        inside allocated memory: a corrupt block number (a mangled message,
        an out-of-range probe) must fail naming the block here, not mint a
@@ -186,7 +187,7 @@ let get_entry t b =
         readers_epoch = -1;
       }
     in
-    Hashtbl.add t.entries b e;
+    Blocktbl.add t.entries b e;
     e
 
 (* Record a parallel-phase reader for race detection (§7.2); readers sets
@@ -763,17 +764,17 @@ and flush_node t node =
     blocks
 
 (* Promote shadows to the new global state and invalidate outstanding
-   copies of every modified block. *)
+   copies of every modified block, in ascending block order.  The walk
+   creates no entry: messages it sends are delivered later, and the home
+   lines it re-installs never evict (the one synchronous path back into
+   [get_entry]).  The length check holds it to that. *)
 and start_sweep t ~now =
   let r = match t.rec_state with Some r -> r | None -> assert false in
   let epoch = Machine.epoch t.mach in
   let sweep_time = max r.join_time now in
-  let blocks =
-    Hashtbl.fold (fun b _ acc -> b :: acc) t.entries [] |> List.sort Int.compare
-  in
-  List.iter
-    (fun b ->
-      let e = match Hashtbl.find_opt t.entries b with Some e -> e | None -> assert false in
+  let nentries = Blocktbl.length t.entries in
+  Blocktbl.iter
+    (fun b e ->
       (* Strict detection (§7.3): actual races need every read-only copy
          flushed at synchronization points, so that the next phase's reads
          fault and register — otherwise a copy cached in an earlier phase
@@ -863,7 +864,8 @@ and start_sweep t ~now =
       | Some _ | None -> ());
       e.lcm_holders <- ISet.empty;
       e.readers <- ISet.empty)
-    blocks;
+    t.entries;
+  assert (Blocktbl.length t.entries = nentries);
   try_finish_reconcile t ~now
 
 let reconcile t =
@@ -1001,7 +1003,7 @@ let rec dump_block t b =
 and dump_block_at t b ~home =
   let buf = Buffer.create 128 in
   Buffer.add_string buf (Printf.sprintf "block %d (home %d): " b home);
-  (match Hashtbl.find_opt t.entries b with
+  (match Blocktbl.find_opt t.entries b with
   | None -> Buffer.add_string buf "no directory entry"
   | Some e ->
     (match e.dstate with
@@ -1039,7 +1041,7 @@ let check_invariants t =
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
   let nnodes = Machine.nnodes t.mach in
   let parallel = Machine.phase t.mach = `Parallel in
-  Hashtbl.iter
+  Blocktbl.iter
     (fun b (e : entry) ->
       let home = home_of t b in
       let master = Machine.master t.mach b in
@@ -1115,7 +1117,7 @@ let peek t addr =
   let g = Machine.gmem t.mach in
   let b = Gmem.block_of_addr g addr in
   let off = Gmem.offset_in_block g addr in
-  match Hashtbl.find_opt t.entries b with
+  match Blocktbl.find_opt t.entries b with
   | Some { dstate = Exclusive owner; _ } -> (
     match Machine.find_line (Machine.node t.mach owner) b with
     | Some line -> line.Machine.data.(off)
@@ -1126,7 +1128,7 @@ let poke t addr v =
   let g = Machine.gmem t.mach in
   let b = Gmem.block_of_addr g addr in
   let off = Gmem.offset_in_block g addr in
-  (match Hashtbl.find_opt t.entries b with
+  (match Blocktbl.find_opt t.entries b with
   | Some e -> (
     match (e.dstate, e.shadow) with
     | Home_owned, None -> ()
@@ -1160,7 +1162,7 @@ let install ?(detect = false) ?(strict_detection = false)
       barrier;
       detect;
       strict_detection;
-      entries = Hashtbl.create 4096;
+      entries = Blocktbl.create ();
       reductions = Hashtbl.create 64;
       pending_retries = Array.init nnodes (fun _ -> Hashtbl.create 16);
       pending_marks = Array.init nnodes (fun _ -> ref []);

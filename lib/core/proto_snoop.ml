@@ -30,6 +30,7 @@ module Tag = Lcm_tempest.Tag
 module Block = Lcm_mem.Block
 module Gmem = Lcm_mem.Gmem
 module Stats = Lcm_util.Stats
+module Blocktbl = Lcm_util.Blocktbl
 module Bus = Lcm_net.Bus
 
 type handles = {
@@ -62,7 +63,7 @@ type t = {
   hs : handles;
   bus : Bus.t;
   barrier : Barrier.style;
-  states : (int, Snoop.state array) Hashtbl.t;  (* block -> per-node state *)
+  states : Snoop.state array Blocktbl.t;  (* block -> per-node state *)
   wb : (int, Block.t) Hashtbl.t;  (* in-flight evicted dirty data *)
   reductions : (int, Reduction.t) Hashtbl.t;
       (* accepted for API parity; reductions execute as coherent rmws, so
@@ -80,11 +81,11 @@ let ctrl_words = 2
 let data_words t = wpb t + 2
 
 let states_of t b =
-  match Hashtbl.find_opt t.states b with
+  match Blocktbl.find_opt t.states b with
   | Some sts -> sts
   | None ->
     let sts = Array.make (Machine.nnodes t.mach) Snoop.I in
-    Hashtbl.add t.states b sts;
+    Blocktbl.add t.states b sts;
     sts
 
 let state t b nid = (states_of t b).(nid)
@@ -387,7 +388,7 @@ let dump_block t b =
     let buf = Buffer.create 128 in
     Buffer.add_string buf
       (Printf.sprintf "block %d (home %d, %s):" b home t.pol.Policy.name);
-    (match Hashtbl.find_opt t.states b with
+    (match Blocktbl.find_opt t.states b with
     | None -> Buffer.add_string buf " untouched"
     | Some sts ->
       Array.iteri
@@ -414,7 +415,7 @@ let check_invariants t =
         (fun b _ -> err "block %d: node %d has a pending retry while quiescent" b nid)
         tbl)
     t.pending_retries;
-  Hashtbl.iter
+  Blocktbl.iter
     (fun b sts ->
       let master = Machine.master t.mach b in
       let owners = ref [] and sharers = ref [] in
@@ -494,7 +495,7 @@ let peek t addr =
   let b = Gmem.block_of_addr g addr in
   let off = Gmem.offset_in_block g addr in
   let from_owner () =
-    match Hashtbl.find_opt t.states b with
+    match Blocktbl.find_opt t.states b with
     | None -> None
     | Some sts ->
       let found = ref None in
@@ -519,7 +520,7 @@ let poke t addr v =
   let g = Machine.gmem t.mach in
   let b = Gmem.block_of_addr g addr in
   let off = Gmem.offset_in_block g addr in
-  (match Hashtbl.find_opt t.states b with
+  (match Blocktbl.find_opt t.states b with
   | Some sts ->
     Array.iteri
       (fun nid st ->
@@ -550,7 +551,7 @@ let install ?(capacity_evictions = true) ?(barrier = Barrier.Constant)
         Bus.create ~engine:(Machine.engine mach) ~costs:(Machine.costs mach)
           ~stats:(Machine.stats mach) ();
       barrier;
-      states = Hashtbl.create 4096;
+      states = Blocktbl.create ();
       wb = Hashtbl.create 16;
       reductions = Hashtbl.create 64;
       pending_retries = Array.init nnodes (fun _ -> Hashtbl.create 16);

@@ -88,7 +88,9 @@ let grow_tables t needed =
 let alloc t ~dist ~nwords =
   if nwords <= 0 then invalid_arg "Gmem.alloc: nwords must be positive";
   (match dist with
-  | On n when n < 0 || n >= t.nnodes -> invalid_arg "Gmem.alloc: node out of range"
+  | On n when n < 0 || n >= t.nnodes ->
+    invalid_arg
+      (Printf.sprintf "Gmem.alloc: node %d out of range [0, %d]" n (t.nnodes - 1))
   | On _ | Interleaved | Chunked -> ());
   let nblocks = (nwords + t.words_per_block - 1) / t.words_per_block in
   let region = { first_block = t.next_block; nblocks; dist } in

@@ -125,11 +125,21 @@ let tag_counter t tag =
     Hashtbl.add t.tag_counters tag h;
     h
 
+(* Top-level, so the hot [validate] allocates no closure for it. *)
+let bad_node t name v =
+  invalid_arg
+    (Printf.sprintf "Network.send: %s %d out of range [0, %d]" name v
+       (t.nnodes - 1))
+
 let validate t ~src ~dst ~words ~at =
-  if src < 0 || src >= t.nnodes then invalid_arg "Network.send: src out of range";
-  if dst < 0 || dst >= t.nnodes then invalid_arg "Network.send: dst out of range";
-  if words <= 0 then invalid_arg "Network.send: words must be positive";
-  if at < 0 then invalid_arg "Network.send: at must be >= 0"
+  if src < 0 || src >= t.nnodes then bad_node t "src" src;
+  if dst < 0 || dst >= t.nnodes then bad_node t "dst" dst;
+  if words <= 0 then
+    invalid_arg
+      (Printf.sprintf "Network.send: words %d out of range (must be >= 1)" words);
+  if at < 0 then
+    invalid_arg
+      (Printf.sprintf "Network.send: at %d out of range (must be >= 0)" at)
 
 let count t ~words tag =
   Stats.Handle.incr t.msgs;

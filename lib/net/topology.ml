@@ -3,8 +3,13 @@ type t =
   | Mesh2d of { cols : int }
   | Fat_tree of { arity : int }
 
+let negative_id name v =
+  invalid_arg
+    (Printf.sprintf "Topology.hops: %s %d out of range (must be >= 0)" name v)
+
 let hops topo ~src ~dst =
-  if src < 0 || dst < 0 then invalid_arg "Topology.hops: negative node id";
+  if src < 0 then negative_id "src" src;
+  if dst < 0 then negative_id "dst" dst;
   if src = dst then 0
   else
     match topo with

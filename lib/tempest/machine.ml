@@ -1,5 +1,6 @@
 module Trace = Lcm_sim.Trace
 module Stats = Lcm_util.Stats
+module Blocktbl = Lcm_util.Blocktbl
 
 type line = {
   mutable data : Lcm_mem.Block.t;
@@ -14,15 +15,8 @@ type node = {
   node_id : int;
   mutable node_clock : int;
   mutable handler_free : int;
-  lines : (int, line) Hashtbl.t;
+  lines : line Blocktbl.t;
   mutable access_stamp : int;
-  la_blocks : int array;
-      (* small direct-mapped lookaside in front of [lines]: slot
-         [b land la_mask] holds the block of the most recent successful
-         lookup mapping there (-1 = empty) and [la_lines] its result.
-         Memory accesses are highly repetitive over a handful of blocks
-         (a stencil cell touches three), so most hits skip the hash. *)
-  la_lines : line option array;
   lru : int Lcm_util.Heap.t option;
       (* lazy-deletion min-heap of (last_use stamp, block) for eviction:
          present iff the machine has a finite capacity.  Entries go stale
@@ -66,7 +60,7 @@ and t = {
   m_stats : Lcm_util.Stats.t;
   m_rng : Lcm_util.Rng.t;
   m_nodes : node array;
-  masters : (int, Lcm_mem.Block.t) Hashtbl.t;
+  masters : Lcm_mem.Block.t Blocktbl.t;
   capacity_blocks : int option;
   (* pre-resolved handles for every counter the access path can touch *)
   h_hw_misses : Stats.Handle.counter;
@@ -151,9 +145,6 @@ let poison_msg_cell c =
   c.mc_h <- Obj.repr dead_msg_h;
   c.mc_p <- unit_obj
 
-let la_slots = 64
-let la_mask = la_slots - 1
-
 let create ?(costs = Lcm_sim.Costs.default)
     ?(topology = Lcm_net.Topology.Fat_tree { arity = 4 }) ?(seed = 42)
     ?capacity_blocks ?hw_cache_blocks ?faults ~nnodes ~words_per_block
@@ -181,10 +172,8 @@ let create ?(costs = Lcm_sim.Costs.default)
           node_id = i;
           node_clock = 0;
           handler_free = 0;
-          lines = Hashtbl.create 512;
+          lines = Blocktbl.create ();
           access_stamp = 0;
-          la_blocks = Array.make la_slots (-1);
-          la_lines = Array.make la_slots None;
           lru =
             (match capacity_blocks with
             | Some _ -> Some (Lcm_util.Heap.create ())
@@ -213,7 +202,7 @@ let create ?(costs = Lcm_sim.Costs.default)
       m_stats = stats;
       m_rng = Lcm_util.Rng.create ~seed;
       m_nodes = nodes;
-      masters = Hashtbl.create 4096;
+      masters = Blocktbl.create ();
       capacity_blocks;
       h_hw_misses = Stats.counter stats "cache.hw_misses";
       h_evictions = Stats.counter stats "cache.evictions";
@@ -274,23 +263,7 @@ let machine n =
   | Some m -> m
   | None -> assert false
 
-let[@inline] find_line n b =
-  let slot = b land la_mask in
-  if Array.unsafe_get n.la_blocks slot = b then Array.unsafe_get n.la_lines slot
-  else
-    match Hashtbl.find_opt n.lines b with
-    | Some _ as r ->
-      Array.unsafe_set n.la_blocks slot b;
-      Array.unsafe_set n.la_lines slot r;
-      r
-    | None -> None
-
-let invalidate_lookaside n b =
-  let slot = b land la_mask in
-  if n.la_blocks.(slot) = b then begin
-    n.la_blocks.(slot) <- -1;
-    n.la_lines.(slot) <- None
-  end
+let[@inline] find_line n b = Blocktbl.find_opt n.lines b
 
 let touch n b line =
   n.access_stamp <- n.access_stamp + 1;
@@ -304,9 +277,9 @@ let touch n b line =
       Lcm_util.Heap.add h ~key:line.last_use b;
       (* Lazy deletion lets stale stamps pile up; rebuild from the live
          table when they dominate. *)
-      if Lcm_util.Heap.length h > 64 + (8 * Hashtbl.length n.lines) then begin
+      if Lcm_util.Heap.length h > 64 + (8 * Blocktbl.length n.lines) then begin
         Lcm_util.Heap.clear h;
-        Hashtbl.iter
+        Blocktbl.iter
           (fun b line ->
             if not line.is_home_line then
               Lcm_util.Heap.add h ~key:line.last_use b)
@@ -334,54 +307,37 @@ let[@inline] hw_access t n b =
 let note_clean_copy_gone t (line : line) =
   if line.local_clean <> None then Stats.Handle.add t.h_live_clean (-1)
 
-let scan_victim n =
-  (* Reference linear scan, used only when no LRU heap is maintained. *)
-  let victim = ref None in
-  Hashtbl.iter
-    (fun b line ->
-      if not line.is_home_line then
-        match !victim with
-        | Some (_, best) when best.last_use <= line.last_use -> ()
-        | Some _ | None -> victim := Some (b, line))
-    n.lines;
-  !victim
+(* Pop stamps until one is live: present in the table, evictable, and
+   still the line's current stamp.  Stamps are unique per node, so this is
+   the least recently used evictable line. *)
+let rec heap_victim n h =
+  match Lcm_util.Heap.pop h with
+  | None -> None
+  | Some (stamp, b) -> (
+    match find_line n b with
+    | Some line when (not line.is_home_line) && line.last_use = stamp ->
+      Some (b, line)
+    | Some _ | None -> heap_victim n h)
 
-let heap_victim n h =
-  (* Pop stamps until one is live: present in the table, evictable, and
-     still the line's current stamp.  Stamps are unique, so this is the
-     same minimum the scan finds. *)
-  let rec go () =
-    match Lcm_util.Heap.pop h with
-    | None -> None
-    | Some (stamp, b) -> (
-      match Hashtbl.find_opt n.lines b with
-      | Some line when (not line.is_home_line) && line.last_use = stamp ->
-        Some (b, line)
-      | Some _ | None -> go ())
-  in
-  go ()
-
+(* Only a capacity-bounded node evicts, and exactly those keep a heap. *)
 let evict_one t n =
-  let victim =
-    match n.lru with Some h -> heap_victim n h | None -> scan_victim n
-  in
+  let victim = match n.lru with Some h -> heap_victim n h | None -> None in
   match victim with
   | None -> () (* nothing evictable: over-capacity with home lines only *)
   | Some (b, line) ->
     Stats.Handle.incr t.h_evictions;
     t.on_evict n b line;
     note_clean_copy_gone t line;
-    Hashtbl.remove n.lines b;
-    invalidate_lookaside n b
+    Blocktbl.remove n.lines b
 
 let install_line n b ~data ~tag =
   let t = machine n in
   let is_home_line = Lcm_mem.Gmem.home_of_block t.m_gmem b = n.node_id in
-  (match Hashtbl.find_opt n.lines b with
+  (match find_line n b with
   | Some old -> note_clean_copy_gone t old
   | None -> (
     match t.capacity_blocks with
-    | Some cap when (not is_home_line) && Hashtbl.length n.lines >= cap ->
+    | Some cap when (not is_home_line) && Blocktbl.length n.lines >= cap ->
       (* Home backing lines are the node's share of distributed memory,
          not cache fills: they materialise lazily (possibly outside the
          engine loop, e.g. from a debug peek) and must never displace a
@@ -400,29 +356,27 @@ let install_line n b ~data ~tag =
     }
   in
   touch n b line;
-  Hashtbl.replace n.lines b line;
-  let slot = b land la_mask in
-  n.la_blocks.(slot) <- b;
-  n.la_lines.(slot) <- Some line;
+  Blocktbl.replace n.lines b line;
   line
 
 let drop_line n b =
-  (match Hashtbl.find_opt n.lines b with
-  | Some line -> note_clean_copy_gone (machine n) line
-  | None -> ());
-  Hashtbl.remove n.lines b;
-  invalidate_lookaside n b
+  match find_line n b with
+  | Some line ->
+    note_clean_copy_gone (machine n) line;
+    Blocktbl.remove n.lines b
+  | None -> ()
 
-let iter_lines n f = Hashtbl.iter f n.lines
-
+(* The fold visits blocks in ascending order, so the reversed accumulator
+   is descending and one [List.rev] makes it ascending. *)
 let lines_snapshot n =
-  Hashtbl.fold (fun b line acc -> (b, line) :: acc) n.lines []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  List.rev (Blocktbl.fold (fun b line acc -> (b, line) :: acc) n.lines [])
 
 let master t b =
-  match Hashtbl.find t.masters b with
-  | data -> data
-  | exception Not_found ->
+  (* a negative block is never bound; it takes the slow path, which
+     rejects it by name *)
+  match if b < 0 then None else Blocktbl.find_opt t.masters b with
+  | Some data -> data
+  | None ->
     (* Master copies materialise lazily, but only for real blocks: under
        snoop policies (no home backing) nothing else validates [b], so a
        corrupt block number in a message would otherwise mint a ghost
@@ -436,14 +390,13 @@ let master t b =
            (Lcm_mem.Gmem.allocated_words t.m_gmem
            / Lcm_mem.Gmem.words_per_block t.m_gmem));
     let data = Lcm_mem.Block.make ~words:(Lcm_mem.Gmem.words_per_block t.m_gmem) in
-    Hashtbl.add t.masters b data;
+    Blocktbl.add t.masters b data;
     (if t.home_backing then begin
        let home = t.m_nodes.(Lcm_mem.Gmem.home_of_block t.m_gmem b) in
        (* The home's backing line aliases the master copy and starts
           writable: memory is born coherent and home-owned. *)
-       match Hashtbl.find_opt home.lines b with
-       | Some _ -> ()
-       | None -> ignore (install_line home b ~data ~tag:Tag.Writable)
+       if not (Blocktbl.mem home.lines b) then
+         ignore (install_line home b ~data ~tag:Tag.Writable)
      end);
     data
 
@@ -538,11 +491,11 @@ let resume n ~now ~cost retry =
 (* The memory access path.                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The hit path checks the (lookaside-fronted) line table first and only
-   falls back to materialising the home backing line on a miss: [master]'s
-   lazy creation is observation-free (zero fill, no counters, no trace), so
-   deferring it until something actually reads the master copy is
-   unobservable — and the common hit skips a Hashtbl probe. *)
+(* The hit path checks the line table first and only falls back to
+   materialising the home backing line on a miss: [master]'s lazy creation
+   is observation-free (zero fill, no counters, no trace), so deferring it
+   until something actually reads the master copy is unobservable — and
+   the common hit skips the master-table lookup. *)
 
 let home_fill t n b =
   if Lcm_mem.Gmem.home_of_block t.m_gmem b = n.node_id then begin

@@ -103,11 +103,9 @@ val install_line :
 
 val drop_line : node -> Lcm_mem.Gmem.block -> unit
 
-val iter_lines : node -> (Lcm_mem.Gmem.block -> line -> unit) -> unit
-
 val lines_snapshot : node -> (Lcm_mem.Gmem.block * line) list
-(** Sorted by block number — used where deterministic order matters
-    (flushes, reconciliation). *)
+(** Ascending by block number (the line table is indexed by block) — used
+    where deterministic order matters (flushes, reconciliation). *)
 
 (** {1 Protocol hooks} *)
 

@@ -134,9 +134,9 @@ let pop h =
     Some (key, pop_exn h)
 
 let clear h =
-  (* Keep the arrays: a heap that is cleared is about to be refilled (the
-     eviction-order lookaside rebuilds its heap this way), and reallocating
-     from 16 up on every rebuild is pure churn.  Dead value slots keep
+  (* Keep the arrays: a heap that is cleared is about to be refilled (a
+     capacity-bounded node's LRU eviction heap is rebuilt this way), and
+     reallocating from 16 up on every rebuild is pure churn.  Dead value slots keep
      their last occupant alive until overwritten — acceptable for the int
      and closure payloads this heap carries. *)
   h.size <- 0

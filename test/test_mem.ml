@@ -158,8 +158,12 @@ let test_gmem_on_node () =
 
 let test_gmem_on_node_range () =
   let g = mk () in
-  Alcotest.check_raises "bad node" (Invalid_argument "Gmem.alloc: node out of range")
-    (fun () -> ignore (Gmem.alloc g ~dist:(Gmem.On 4) ~nwords:8))
+  Alcotest.check_raises "bad node"
+    (Invalid_argument "Gmem.alloc: node 4 out of range [0, 3]") (fun () ->
+      ignore (Gmem.alloc g ~dist:(Gmem.On 4) ~nwords:8));
+  Alcotest.check_raises "negative node"
+    (Invalid_argument "Gmem.alloc: node -1 out of range [0, 3]") (fun () ->
+      ignore (Gmem.alloc g ~dist:(Gmem.On (-1)) ~nwords:8))
 
 let test_gmem_interleaved () =
   let g = mk () in

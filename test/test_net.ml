@@ -29,6 +29,14 @@ let test_fattree_symmetric () =
     done
   done
 
+let test_hops_rejects_negative_id () =
+  Alcotest.check_raises "negative src"
+    (Invalid_argument "Topology.hops: src -2 out of range (must be >= 0)")
+    (fun () -> ignore (Topology.hops Crossbar ~src:(-2) ~dst:1));
+  Alcotest.check_raises "negative dst"
+    (Invalid_argument "Topology.hops: dst -1 out of range (must be >= 0)")
+    (fun () -> ignore (Topology.hops Crossbar ~src:0 ~dst:(-1)))
+
 let test_topology_parse () =
   Alcotest.(check bool) "crossbar" true (Topology.of_string "crossbar" = Ok Crossbar);
   Alcotest.(check bool) "mesh" true
@@ -105,22 +113,29 @@ let test_network_distinct_channels_independent () =
 
 let test_network_bad_node () =
   let _, _, net = mk_net () in
-  Alcotest.check_raises "dst range" (Invalid_argument "Network.send: dst out of range")
-    (fun () -> Network.send net ~src:0 ~dst:4 ~words:1 ~at:0 (fun ~arrival:_ -> ()))
+  Alcotest.check_raises "dst range"
+    (Invalid_argument "Network.send: dst 4 out of range [0, 3]") (fun () ->
+      Network.send net ~src:0 ~dst:4 ~words:1 ~at:0 (fun ~arrival:_ -> ()));
+  Alcotest.check_raises "src range"
+    (Invalid_argument "Network.send: src -1 out of range [0, 3]") (fun () ->
+      Network.send net ~src:(-1) ~dst:0 ~words:1 ~at:0 (fun ~arrival:_ -> ()))
 
 let test_network_rejects_nonpositive_words () =
   let _, _, net = mk_net () in
   Alcotest.check_raises "zero words"
-    (Invalid_argument "Network.send: words must be positive") (fun () ->
+    (Invalid_argument "Network.send: words 0 out of range (must be >= 1)")
+    (fun () ->
       Network.send net ~src:0 ~dst:1 ~words:0 ~at:0 (fun ~arrival:_ -> ()));
   Alcotest.check_raises "negative words"
-    (Invalid_argument "Network.send: words must be positive") (fun () ->
+    (Invalid_argument "Network.send: words -3 out of range (must be >= 1)")
+    (fun () ->
       Network.send net ~src:0 ~dst:1 ~words:(-3) ~at:0 (fun ~arrival:_ -> ()))
 
 let test_network_rejects_negative_at () =
   let _, _, net = mk_net () in
   Alcotest.check_raises "negative at"
-    (Invalid_argument "Network.send: at must be >= 0") (fun () ->
+    (Invalid_argument "Network.send: at -1 out of range (must be >= 0)")
+    (fun () ->
       Network.send net ~src:0 ~dst:1 ~words:1 ~at:(-1) (fun ~arrival:_ -> ()))
 
 let test_network_loopback_semantics () =
@@ -355,6 +370,7 @@ let () =
           ("mesh", `Quick, test_mesh_hops);
           ("fattree", `Quick, test_fattree_hops);
           ("fattree symmetric", `Quick, test_fattree_symmetric);
+          ("hops rejects negative id", `Quick, test_hops_rejects_negative_id);
           ("parse", `Quick, test_topology_parse);
           ("roundtrip", `Quick, test_topology_roundtrip);
           QCheck_alcotest.to_alcotest prop_fattree_hops_bounded;

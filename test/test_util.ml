@@ -1,4 +1,5 @@
-(* Unit and property tests for Lcm_util: heap, rng, mask, stats, tablefmt. *)
+(* Unit and property tests for Lcm_util: heap, rng, mask, stats, tablefmt,
+   pool, nodeset, blocktbl. *)
 
 open Lcm_util
 
@@ -49,7 +50,7 @@ let test_heap_clear_and_reuse () =
 
 (* [clear] keeps capacity: filling past the initial 16-slot chunk, clearing
    and refilling must behave exactly like a fresh heap (ordering, FIFO ties,
-   length) — the eviction lookaside rebuilds its heap this way constantly. *)
+   length) — the LRU eviction heap is rebuilt this way constantly. *)
 let test_heap_clear_keeps_working_at_capacity () =
   let h = Heap.create () in
   for i = 0 to 99 do
@@ -685,6 +686,118 @@ let test_table_ragged_rows () =
           (List.length (String.split_on_char '|' l) - 1))
     (String.split_on_char '\n' out)
 
+(* ------------------------------------------------------------------ *)
+(* Blocktbl                                                           *)
+(* ------------------------------------------------------------------ *)
+
+module IntMap = Map.Make (Int)
+
+type blocktbl_op =
+  | Replace of int * int
+  | Add of int * int
+  | Remove of int
+  | Find of int
+  | Mem of int
+
+(* Keys cluster around multiples of 64 and 256 (both page boundaries
+   for any power-of-two page up to 256 slots) and scatter far out, so
+   pages fill, split and stay sparse. *)
+let blocktbl_key =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, oneofl [ 0; 1; 63; 64; 65; 127; 128; 255; 256; 257; 511; 512 ]);
+        (2, int_bound 1024);
+        (1, oneofl [ 70_000; 1_000_003 ]);
+      ])
+
+let blocktbl_op =
+  QCheck.Gen.(
+    let* k = blocktbl_key in
+    frequency
+      [
+        (4, map (fun v -> Replace (k, v)) small_int);
+        (1, map (fun v -> Add (k, v)) small_int);
+        (2, return (Remove k));
+        (2, return (Find k));
+        (1, return (Mem k));
+      ])
+
+let show_blocktbl_op = function
+  | Replace (k, v) -> Printf.sprintf "replace %d %d" k v
+  | Add (k, v) -> Printf.sprintf "add %d %d" k v
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Find k -> Printf.sprintf "find %d" k
+  | Mem k -> Printf.sprintf "mem %d" k
+
+let rec strictly_ascending = function
+  | a :: (b :: _ as rest) -> a < b && strictly_ascending rest
+  | [ _ ] | [] -> true
+
+let prop_blocktbl_matches_map =
+  QCheck.Test.make ~name:"blocktbl ≡ Map.Make(Int), ascending walks" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_blocktbl_op ops))
+       QCheck.Gen.(list_size (int_bound 200) blocktbl_op))
+    (fun ops ->
+      let t = Blocktbl.create () in
+      let model =
+        List.fold_left
+          (fun m op ->
+            match op with
+            | Replace (k, v) ->
+              Blocktbl.replace t k v;
+              IntMap.add k v m
+            | Add (k, v) -> (
+              match Blocktbl.add t k v with
+              | () ->
+                if IntMap.mem k m then QCheck.Test.fail_reportf "add %d: bound" k;
+                IntMap.add k v m
+              | exception Invalid_argument _ ->
+                if not (IntMap.mem k m) then
+                  QCheck.Test.fail_reportf "add %d: rejected while unbound" k;
+                m)
+            | Remove k ->
+              Blocktbl.remove t k;
+              IntMap.remove k m
+            | Find k ->
+              if Blocktbl.find_opt t k <> IntMap.find_opt k m then
+                QCheck.Test.fail_reportf "find_opt %d disagrees" k;
+              m
+            | Mem k ->
+              if Blocktbl.mem t k <> IntMap.mem k m then
+                QCheck.Test.fail_reportf "mem %d disagrees" k;
+              m)
+          IntMap.empty ops
+      in
+      let walked = ref [] in
+      Blocktbl.iter (fun k v -> walked := (k, v) :: !walked) t;
+      let walked = List.rev !walked in
+      let folded = List.rev (Blocktbl.fold (fun k v acc -> (k, v) :: acc) t []) in
+      Blocktbl.length t = IntMap.cardinal model
+      && walked = IntMap.bindings model
+      && folded = walked
+      && strictly_ascending (List.map fst walked)
+      && IntMap.for_all (fun k v -> Blocktbl.find_opt t k = Some v) model)
+
+let test_blocktbl_negative_named () =
+  let t = Blocktbl.create () in
+  Blocktbl.replace t 3 "x";
+  let raises name f =
+    Alcotest.check_raises name
+      (Invalid_argument (Printf.sprintf "Blocktbl.%s: negative block -5" name))
+      f
+  in
+  raises "find_opt" (fun () -> ignore (Blocktbl.find_opt t (-5)));
+  raises "mem" (fun () -> ignore (Blocktbl.mem t (-5)));
+  raises "replace" (fun () -> Blocktbl.replace t (-5) "y");
+  raises "add" (fun () -> Blocktbl.add t (-5) "y");
+  raises "remove" (fun () -> Blocktbl.remove t (-5));
+  Alcotest.check_raises "add bound"
+    (Invalid_argument "Blocktbl.add: block 3 already bound") (fun () ->
+      Blocktbl.add t 3 "y");
+  check "length untouched" 1 (Blocktbl.length t)
+
 let suite =
   [
     ("heap empty", `Quick, test_heap_empty);
@@ -723,6 +836,7 @@ let suite =
     ("nodeset collapses on shrink", `Quick, test_nodeset_collapses_on_shrink);
     ("pool double release detected", `Quick, test_pool_double_release_detected);
     ("pool reuse and counts", `Quick, test_pool_reuse_and_counts);
+    ("blocktbl negative block named", `Quick, test_blocktbl_negative_named);
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
@@ -736,6 +850,7 @@ let suite =
         prop_mask_union_cardinal;
         prop_stats_handles_equal_strings;
         prop_nodeset_matches_set;
+        prop_blocktbl_matches_map;
       ]
 
 let () = Alcotest.run "lcm_util" [ ("util", suite) ]
