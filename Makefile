@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-paper perfbench perfbench-smoke allocbench allocbench-smoke doc clean examples trace-smoke stress sweep-smoke fault-smoke policy-matrix check-smoke
+.PHONY: all build test bench bench-paper perfbench perfbench-smoke doc clean examples trace-smoke stress sweep-smoke fault-smoke policy-matrix check-smoke
 
 all: build
 
@@ -16,14 +16,17 @@ bench:
 
 bench-paper:
 	@mkdir -p out
-	dune exec bench/main.exe -- --paper --no-micro 2>&1 | tee out/bench_output_paper.txt
+	dune exec bench/main.exe -- --paper 2>&1 | tee out/bench_output_paper.txt
 
-# Host-side throughput rig: events/sec of the simulator itself, all
-# policies x {stencil, unstructured, synthetic, stress}.  See README
-# "Performance benchmarking" for the JSON schema and --baseline
-# comparisons.
+# The perf rig: host time of the simulator itself, all 7 policies over
+# the three workloads, with a per-layer ledger.  Each workload prints one
+# JSON result line; see perfbench/README.md.
 perfbench:
-	dune exec bench/perf.exe -- --out BENCH_perf.json
+	@for w in paper-figures bus-scaling verify-chaos; do \
+	  out=$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 40 \
+	    --trace 0) || exit 1; \
+	  echo "$$out" | tail -n 1; \
+	done
 
 # One traced second of each perfbench workload; fails unless every result
 # line reports "correct": true.  perfbench/probes.ml drives Machine,
@@ -39,20 +42,6 @@ perfbench-smoke:
 	    *) echo "perfbench-smoke: $$w did not report correct: true"; exit 1 ;; \
 	  esac; \
 	done
-
-# Host allocation profile: GC minor words / promoted words / major
-# collections and minor words per simulated event for the two pinned
-# allocation workloads.  See README "Allocation benchmarking" and
-# DESIGN.md §"Host allocation discipline".
-allocbench:
-	@mkdir -p out
-	dune exec bench/perf.exe -- --alloc --out out/BENCH_alloc.json
-
-# Same rig with the pinned words-per-event ceilings enforced (non-zero
-# exit on regression); also runs as part of `dune runtest`.
-allocbench-smoke:
-	@mkdir -p out
-	dune exec bench/perf.exe -- --alloc --check --out out/BENCH_alloc.json
 
 # Run a small traced stencil and check the emitted Chrome trace JSON
 # parses and is non-empty.

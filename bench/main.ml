@@ -1,12 +1,11 @@
 (* Full benchmark harness: regenerates every table and figure in the paper's
    evaluation (Section 6.3) from simulation, prints the Section 6.3 claim
-   checklist and the Section 7 / design ablations, then (optionally) runs
-   Bechamel wall-clock micro-benchmarks of the simulator itself.
+   checklist and the Section 7 / design ablations.  Host-time measurement
+   lives in perfbench/, not here.
 
      dune exec bench/main.exe            # quick scale (about a minute)
      dune exec bench/main.exe -- --paper # the paper's full problem sizes
-     dune exec bench/main.exe -- --jobs 0 # sweep cells across all host cores
-     dune exec bench/main.exe -- --no-micro   # skip the Bechamel section *)
+     dune exec bench/main.exe -- --jobs 0 # sweep cells across all host cores *)
 
 open Lcm_harness
 
@@ -19,18 +18,17 @@ open Lcm_harness
    evaluation over a deterministically unreliable interconnect.  The
    differential-validation and claims sections then double as an
    end-to-end check that retransmission preserves every result. *)
-let scale, run_micro, jobs, faults =
-  let paper = ref false and no_micro = ref false and jobs = ref 1 in
+let scale, jobs, faults =
+  let paper = ref false and jobs = ref 1 in
   let rate = ref 0.0 and profile = ref "drop" and seed = ref 7 in
   let bad fmt = Printf.ksprintf (fun m -> raise (Arg.Bad m)) fmt in
   let usage =
-    "main [--paper] [--no-micro] [--jobs N] [--fault-rate R [--fault-profile \
-     NAME] [--fault-seed S]]"
+    "main [--paper] [--jobs N] [--fault-rate R [--fault-profile NAME] \
+     [--fault-seed S]]"
   in
   Arg.parse
     [
       ("--paper", Arg.Set paper, " the paper's full problem sizes");
-      ("--no-micro", Arg.Set no_micro, " skip the Bechamel micro-benchmarks");
       ( "--jobs",
         Arg.Int
           (fun n ->
@@ -60,7 +58,6 @@ let scale, run_micro, jobs, faults =
     | Ok plan -> Some plan
   in
   ( (if !paper then Experiments.Paper else Experiments.Quick),
-    not !no_micro,
     !jobs,
     faults )
 
@@ -219,74 +216,4 @@ let () =
   close_out oc;
   Printf.printf "\n(wrote %s)\n" path;
 
-  (* ---------------------------------------------------------------- *)
-  (* Bechamel wall-clock micro-benchmarks of the simulator itself      *)
-  (* ---------------------------------------------------------------- *)
-  if run_micro then begin
-    section "Bechamel: simulator wall-clock micro-benchmarks";
-    let open Bechamel in
-    let open Toolkit in
-    let small = { machine with Config.nnodes = 8 } in
-    let bench_system name system schedule run =
-      Test.make ~name
-        (Staged.stage (fun () ->
-             let rt = Config.make_runtime small system ~schedule in
-             ignore (run rt)))
-    in
-    let sp = { Lcm_apps.Stencil.n = 24; iters = 2; work_per_cell = 4 } in
-    let tp = { Lcm_apps.Threshold.n = 24; iters = 2; threshold = 0.5; work_per_cell = 4 } in
-    let up =
-      { Lcm_apps.Unstructured.nodes = 64; edges = 256; iters = 4; seed = 11; work_per_node = 6 }
-    in
-    let ap =
-      {
-        Lcm_apps.Adaptive.n = 8;
-        iters = 3;
-        max_depth = 2;
-        subdiv_threshold = 2.0;
-        arena_per_node = 256;
-        work_per_cell = 6;
-      }
-    in
-    let tests =
-      [
-        (* one Test.make per table/figure cell family *)
-        bench_system "figure2/stencil-stat-mcc" Config.lcm_mcc
-          Lcm_cstar.Schedule.Static (fun rt -> Lcm_apps.Stencil.run rt sp);
-        bench_system "figure2/stencil-dyn-stache" Config.stache
-          (Lcm_cstar.Schedule.Dynamic_random 5) (fun rt -> Lcm_apps.Stencil.run rt sp);
-        bench_system "figure3/adaptive-mcc" Config.lcm_mcc
-          Lcm_cstar.Schedule.Static (fun rt -> Lcm_apps.Adaptive.run rt ap);
-        bench_system "figure3/threshold-mcc" Config.lcm_mcc
-          Lcm_cstar.Schedule.Static (fun rt -> Lcm_apps.Threshold.run rt tp);
-        bench_system "figure3/unstructured-scc" Config.lcm_scc
-          Lcm_cstar.Schedule.Static (fun rt -> Lcm_apps.Unstructured.run rt up);
-        bench_system "table1/stencil-scc" Config.lcm_scc
-          Lcm_cstar.Schedule.Static (fun rt -> Lcm_apps.Stencil.run rt sp);
-      ]
-    in
-    let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) ~kde:None () in
-    let instances = Instance.[ monotonic_clock ] in
-    let ols =
-      Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-    in
-    List.iter
-      (fun test ->
-        List.iter
-          (fun elt ->
-            let raw = Benchmark.run cfg instances elt in
-            let est = Analyze.one ols Instance.monotonic_clock raw in
-            let ns =
-              match Analyze.OLS.estimates est with
-              | Some [ e ] -> e
-              | Some _ | None -> nan
-            in
-            Printf.printf "%-32s %12.0f ns/run  (r²=%s)\n%!" (Test.Elt.name elt)
-              ns
-              (match Analyze.OLS.r_square est with
-              | Some r -> Printf.sprintf "%.3f" r
-              | None -> "n/a"))
-          (Test.elements test))
-      tests
-  end;
   print_endline "\nbench: done."

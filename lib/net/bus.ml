@@ -93,18 +93,12 @@ let arbitrate t ~kind ~at ~words =
   Stats.Handle.add t.h_busy (finish - grant);
   finish
 
-let transact t ~kind ~at ~words k =
-  let finish = arbitrate t ~kind ~at ~words in
-  Lcm_sim.Engine.schedule t.engine ~at:finish (fun () ->
-      (* a completed bus transaction is semantic progress for the stall
-         watchdog armed by fault plans *)
-      Lcm_sim.Engine.notify_progress t.engine;
-      k ~now:finish)
-
 (* Static grant dispatcher: runs at occupancy end, recycles the cell
    before entering the protocol handler. *)
 let run_grant (c : grant_cell) finish _i2 =
   let t : t = Obj.obj c.g_bus in
+  (* a completed bus transaction is semantic progress for the stall
+     watchdog armed by fault plans *)
   Lcm_sim.Engine.notify_progress t.engine;
   let h : Obj.t -> int -> int -> unit = Obj.obj c.g_h in
   let p = c.g_p and x = c.g_x in

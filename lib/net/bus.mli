@@ -43,18 +43,14 @@ val busy_until : t -> int
 val occupancy : t -> words:int -> int
 (** Cycles a [words]-word transaction holds the bus. *)
 
-val transact : t -> kind:kind -> at:int -> words:int -> (now:int -> unit) -> unit
-(** [transact t ~kind ~at ~words k] queues a transaction requested at
-    cycle [at]; [k ~now] runs when its bus occupancy completes ([now] is
-    that cycle).  Grants are in request order. *)
-
 val transact_call :
   t -> kind:kind -> at:int -> words:int -> ('a -> int -> int -> unit) -> 'a ->
   int -> unit
-(** [transact_call t ~kind ~at ~words h p x] is {!transact} for callers
-    with a {e preallocated} grant handler: [h p now x] runs when the
-    occupancy completes, the triple riding a pooled grant record through
-    the engine's allocation-free scheduling path, so a steady-state bus
-    transaction allocates nothing.  [p] is the handler's payload and [x]
-    an integer rider (a packed requester/block descriptor).  Timing,
-    statistics and grant order are exactly {!transact}'s. *)
+(** [transact_call t ~kind ~at ~words h p x] queues a transaction
+    requested at cycle [at]; [h p now x] runs when its bus occupancy
+    completes ([now] is that cycle).  Grants are in request order.  The
+    grant handler is {e preallocated}: the triple rides a pooled grant
+    record through the engine's allocation-free scheduling path, so a
+    steady-state bus transaction allocates nothing.  [p] is the handler's
+    payload and [x] an integer rider (a packed requester/block
+    descriptor). *)

@@ -153,8 +153,8 @@ let count t ~words tag =
    arrival time.  One closed function serves every message in the run.
    The generalized [loopback]/[inject] below carry an arbitrary
    (handler, payload, int) triple instead, so callers with a
-   preallocated handler (see [send_call]) pay no per-message allocation
-   at all; the closure API is [h = deliver_call, p = k, x = 0].
+   preallocated handler (see [send_reliable_call]) pay no per-message
+   allocation at all; the closure API is [h = deliver_call, p = k, x = 0].
    Tracing decides per message at send time: a traced send falls back to
    a closure that re-reads [t.trace] at delivery (it must emit Msg_recv
    with the message's identity, which the int slots cannot carry). *)
@@ -283,22 +283,6 @@ let send t ~src ~dst ~words ?tag ~at k =
     | None -> inject t ~src ~dst ~words ~tag ~at deliver_call k 0
     | Some plan -> faulty_send t plan ~src ~dst ~words ~tag ~at k)
 
-(* Allocation-free variant: the caller supplies a preallocated handler
-   plus a payload and an int rider, which travel in the pooled engine
-   event ([h p arrival x] runs at delivery).  Faulty links fall back to
-   a closure — a message can then have several in-flight copies, and
-   correctness matters more than allocation on the stress
-   configurations. *)
-let send_call t ~src ~dst ~words ?tag ~at h p x =
-  validate t ~src ~dst ~words ~at;
-  if src = dst then loopback t ~src ~words ?tag ~at h p x
-  else (
-    match t.faults with
-    | None -> inject t ~src ~dst ~words ~tag ~at h p x
-    | Some plan ->
-      faulty_send t plan ~src ~dst ~words ~tag ~at (fun ~arrival ->
-          h p arrival x))
-
 (* Reliable transport: sequence-numbered envelopes per channel, an ack per
    received copy (itself lossy), receiver-side dedup + in-order release,
    and sender-side timeout with exponential backoff up to the plan's retry
@@ -410,11 +394,12 @@ let send_reliable t ~src ~dst ~words ?tag ~at k =
       in
       transmit ~at
 
-(* [send_call]'s reliable sibling.  Without a fault plan the reliable
-   path IS the plain send, so the preallocated handler rides the pooled
-   engine event directly; with one, the envelope machinery needs a
-   per-message continuation anyway and the closure fallback costs
-   nothing extra in proportion. *)
+(* Allocation-free variant of [send_reliable]: the caller supplies a
+   preallocated handler plus a payload and an int rider.  Without a
+   fault plan the reliable path IS the plain send, so the triple rides
+   the pooled engine event directly ([h p arrival x] runs at delivery);
+   with one, the envelope machinery needs a per-message continuation
+   anyway and the closure fallback costs nothing extra in proportion. *)
 let send_reliable_call t ~src ~dst ~words ?tag ~at h p x =
   match t.faults with
   | None ->

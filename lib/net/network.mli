@@ -127,26 +127,6 @@ val send_reliable :
     retransmissions (raised inside the engine loop, propagating out of
     {!Lcm_sim.Engine.run}). *)
 
-val send_call :
-  t ->
-  src:int ->
-  dst:int ->
-  words:int ->
-  ?tag:string ->
-  at:int ->
-  ('a -> int -> int -> unit) ->
-  'a ->
-  int ->
-  unit
-(** [send_call n ~src ~dst ~words ?tag ~at h p x] is {!send} for callers
-    with a {e preallocated} delivery handler: [h p arrival x] runs at the
-    computed arrival time, the triple riding the pooled engine event, so
-    an untraced fault-free message allocates nothing.  [p] is the
-    handler's payload, [x] an integer rider (a block number, a node id).
-    Tracing or fault injection falls back to an equivalent closure.
-    Timing, statistics, delivery multiplicity and error behaviour are
-    exactly {!send}'s. *)
-
 val send_reliable_call :
   t ->
   src:int ->
@@ -158,10 +138,14 @@ val send_reliable_call :
   'a ->
   int ->
   unit
-(** {!send_reliable} with {!send_call}'s calling convention: exactly-once
-    in-order delivery of [h p arrival x].  Allocation-free without a
-    fault plan; with one, the envelope machinery wraps the triple in a
-    closure (it needs a per-message continuation regardless). *)
+(** {!send_reliable} for callers with a {e preallocated} delivery
+    handler: exactly-once in-order delivery of [h p arrival x], where [p]
+    is the handler's payload and [x] an integer rider (a block number, a
+    node id).  Without a fault plan the triple rides the pooled engine
+    event, so an untraced message allocates nothing; tracing or a fault
+    plan falls back to an equivalent closure (the envelope machinery
+    needs a per-message continuation regardless).  Timing, statistics
+    and error behaviour are exactly {!send_reliable}'s. *)
 
 val latency : t -> src:int -> dst:int -> words:int -> int
 (** The uncontended latency the model assigns to such a message

@@ -213,10 +213,6 @@ let run_event e ev =
   end
   else failwith "Engine: released event reached execution (pool misuse)"
 
-let after e ~delay f =
-  let delay = max 0 delay in
-  schedule e ~at:(e.now + delay) f
-
 let set_choice_hook e hook = e.chooser <- hook
 
 (* Budget enforcement happens before the event is popped, so a raise leaves
