@@ -35,8 +35,8 @@ let run_stencil ?machine sys =
   ignore (Lcm_apps.Stencil.run rt stencil24);
   Fingerprint.of_runtime rt
 
-let run_unstructured sys =
-  let rt = traced_runtime sys in
+let run_unstructured ?machine sys =
+  let rt = traced_runtime ?machine sys in
   ignore
     (Lcm_apps.Unstructured.run rt
        {
@@ -73,6 +73,13 @@ let run_adaptive_dyn sys =
 let small_cache =
   { Config.default_machine with Config.nnodes = 8; capacity_blocks = Some 8 }
 
+(* The 5%-rate chaos plan (drops, duplicates, jitter, link flaps) under the
+   reliable transport: 546 acks, 52 drops and 64 retransmissions. *)
+let chaos =
+  match Lcm_net.Faults.of_profile "chaos" ~rate:0.05 ~seed:7 with
+  | Ok plan -> { Config.default_machine with Config.nnodes = 8; faults = Some plan }
+  | Error e -> failwith e
+
 let workloads =
   List.map
     (fun s -> (Printf.sprintf "stencil24/%s" s.Config.label, fun () -> run_stencil s))
@@ -87,6 +94,13 @@ let workloads =
   @ List.map
       (fun s -> (Printf.sprintf "adaptive-dyn-tiny/%s" s.Config.label, fun () -> run_adaptive_dyn s))
       [ Config.lcm_mcc; Config.stache ]
+  @ [
+      (* capacity-eviction writebacks (115 [put]) and recall nacks (5) *)
+      ( "unstructured48-cap8/" ^ Config.stache.Config.label,
+        fun () -> run_unstructured ~machine:small_cache Config.stache );
+      ( "stencil24-chaos/" ^ Config.lcm_mcc.Config.label,
+        fun () -> run_stencil ~machine:chaos Config.lcm_mcc );
+    ]
 
 (* Re-recorded after the loopback bugfix (src = dst messages now cost
    msg_fixed only and skip channel occupancy): cycle/counter/trace digests
@@ -110,6 +124,11 @@ let expected =
     ("workload stencil24-cap8/LCM-mcc", "cycles=66810 mem=3a5dbccc5e12b3c5 counters=c69657f714c3fa6f trace=2b61cecea1aa7c50/4818");
     ("workload adaptive-dyn-tiny/LCM-mcc", "cycles=151422 mem=212d223b95f3d45d counters=ad8cb2a5e6c75b7f trace=9fb8d5a8b27c8749/45480");
     ("workload adaptive-dyn-tiny/Stache+copy", "cycles=396218 mem=9146b184d4544113 counters=b3413af8e978ade8 trace=67cef6981bd0854c/60183");
+    (* recorded before the closure/pooled send paths were merged: the
+       eviction writeback and recall-nack senders, and the reliable
+       transport under a fault plan *)
+    ("workload unstructured48-cap8/Stache+copy", "cycles=103983 mem=148971b3a90edd71 counters=c471c43c77946d6b trace=d74d67b2e85addd5/9231");
+    ("workload stencil24-chaos/LCM-mcc", "cycles=77781 mem=3a5dbccc5e12b3c5 counters=406323cd2b7b6d69 trace=2db8999605b5f147/6434");
   ]
 
 let recording = Sys.getenv_opt "LCM_EQUIV_RECORD" <> None
