@@ -25,6 +25,33 @@ let topology_conv =
   let parse s = Result.map_error (fun e -> `Msg e) (Lcm_net.Topology.of_string s) in
   Arg.conv (parse, fun ppf t -> Format.pp_print_string ppf (Lcm_net.Topology.to_string t))
 
+(* A positive integer flag; [msg] is the error a non-positive value gets. *)
+let positive_int msg =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | Some _ -> Error (`Msg msg)
+    | None -> Error (`Msg (Printf.sprintf "invalid integer %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+(* --policy for the commands that otherwise cover every registered policy;
+   [verb] says what they do with each ("runs", "checks"). *)
+let policy_arg ~verb =
+  let policy_conv =
+    let parse s = Result.map_error (fun e -> `Msg e) (Lcm_core.Policy.of_string s) in
+    Arg.conv
+      (parse, fun ppf (p : Lcm_core.Policy.t) ->
+        Format.pp_print_string ppf p.Lcm_core.Policy.name)
+  in
+  Arg.(value & opt (some policy_conv) None
+       & info [ "policy" ] ~docv:"POLICY"
+           ~doc:(Printf.sprintf
+                   "Restrict to one policy (%s); default %s every registered \
+                    policy."
+                   (String.concat ", " Lcm_core.Policy.names)
+                   verb))
+
 let system_arg =
   Arg.(value & opt system_conv Config.lcm_mcc
        & info [ "system"; "protocol"; "p" ] ~docv:"SYSTEM"
@@ -78,16 +105,7 @@ let trace_out_arg =
                  $(b,--trace).")
 
 let trace_cap_arg =
-  let positive_int =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n > 0 -> Ok n
-      | Some _ -> Error (`Msg "trace capacity must be positive")
-      | None -> Error (`Msg (Printf.sprintf "invalid integer %S" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
-  Arg.(value & opt positive_int 262144
+  Arg.(value & opt (positive_int "trace capacity must be positive") 262144
        & info [ "trace-cap" ] ~docv:"N"
            ~doc:"Trace ring capacity; once full, the oldest events are \
                  evicted.")
@@ -434,15 +452,6 @@ let experiments_cmd =
                    figure3), $(b,ablations), $(b,all), or a single family \
                    name (e.g. figure2, barrier, topology).")
   in
-  let positive_int =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n > 0 -> Ok n
-      | Some _ -> Error (`Msg "must be positive")
-      | None -> Error (`Msg (Printf.sprintf "invalid integer %S" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
   let positive_float =
     let parse s =
       match float_of_string_opt s with
@@ -453,7 +462,7 @@ let experiments_cmd =
     Arg.conv (parse, Format.pp_print_float)
   in
   let max_events_arg =
-    Arg.(value & opt (some positive_int) None
+    Arg.(value & opt (some (positive_int "must be positive")) None
          & info [ "max-events" ] ~docv:"N"
              ~doc:"Per-cell simulated-event budget; a cell exceeding it is \
                    reported $(b,timed-out) at a deterministic simulated \
@@ -578,31 +587,8 @@ let experiments_cmd =
        $ summary_json_arg $ summary_csv_arg $ progress_arg))
 
 let stress_cmd =
-  let policy_conv =
-    let parse s = Result.map_error (fun e -> `Msg e) (Lcm_core.Policy.of_string s) in
-    Arg.conv
-      (parse, fun ppf (p : Lcm_core.Policy.t) ->
-        Format.pp_print_string ppf p.Lcm_core.Policy.name)
-  in
-  let policy_arg =
-    Arg.(value & opt (some policy_conv) None
-         & info [ "policy" ] ~docv:"POLICY"
-             ~doc:(Printf.sprintf
-                     "Restrict to one policy (%s); default runs every \
-                      registered policy."
-                     (String.concat ", " Lcm_core.Policy.names)))
-  in
   let cases_arg =
-    let positive_int =
-      let parse s =
-        match int_of_string_opt s with
-        | Some n when n > 0 -> Ok n
-        | Some _ -> Error (`Msg "case count must be positive")
-        | None -> Error (`Msg (Printf.sprintf "invalid integer %S" s))
-      in
-      Arg.conv (parse, Format.pp_print_int)
-    in
-    Arg.(value & opt positive_int 100
+    Arg.(value & opt (positive_int "case count must be positive") 100
          & info [ "cases" ] ~docv:"N" ~doc:"Cases per policy.")
   in
   let seed_arg =
@@ -645,25 +631,11 @@ let stress_cmd =
              $(b,--seed)/$(b,--cases)/$(b,--policy).")
     Term.(
       ret
-        (const run $ cases_arg $ seed_arg $ policy_arg $ faults_term
+        (const run $ cases_arg $ seed_arg $ policy_arg ~verb:"runs" $ faults_term
        $ jobs_arg))
 
 let check_cmd =
   let module Check = Lcm_check.Check in
-  let policy_conv =
-    let parse s = Result.map_error (fun e -> `Msg e) (Lcm_core.Policy.of_string s) in
-    Arg.conv
-      (parse, fun ppf (p : Lcm_core.Policy.t) ->
-        Format.pp_print_string ppf p.Lcm_core.Policy.name)
-  in
-  let policy_arg =
-    Arg.(value & opt (some policy_conv) None
-         & info [ "policy" ] ~docv:"POLICY"
-             ~doc:(Printf.sprintf
-                     "Restrict to one policy (%s); default checks every \
-                      registered policy."
-                     (String.concat ", " Lcm_core.Policy.names)))
-  in
   let scenario_arg =
     Arg.(value & opt (some string) None
          & info [ "scenario" ] ~docv:"NAME"
@@ -731,6 +703,19 @@ let check_cmd =
          & info [ "stats" ] ~doc:"Print the check.* counters per configuration.")
   in
   let ensure_dir d = if not (Sys.file_exists d) then Sys.mkdir d 0o755 in
+  let reproduce (v : Check.violation) =
+    Printf.sprintf "reproduce: lcm_sim check --policy %s --scenario %s --replay %s%s%s"
+      v.Check.v_prog.Stress.policy.Lcm_core.Policy.name
+      (let l = v.Check.v_label in
+       match String.index_opt l ':' with
+       | Some i -> String.sub l (i + 1) (String.length l - i - 1)
+       | None -> l)
+      (Check.schedule_to_string v.Check.v_schedule)
+      (if v.Check.v_fault_budget > 0 then
+         Printf.sprintf " --fault-budget %d" v.Check.v_fault_budget
+       else "")
+      (if v.Check.v_dup then " --dup" else "")
+  in
   let write_artifacts ~out (v : Check.violation) =
     ensure_dir out;
     let slug =
@@ -744,18 +729,7 @@ let check_cmd =
     let oc = open_out report_path in
     let ppf = Format.formatter_of_out_channel oc in
     Format.fprintf ppf "%a@." Check.pp_violation v;
-    Format.fprintf ppf
-      "reproduce: lcm_sim check --policy %s --scenario %s --replay %s%s%s@."
-      v.Check.v_prog.Stress.policy.Lcm_core.Policy.name
-      (let l = v.Check.v_label in
-       match String.index_opt l ':' with
-       | Some i -> String.sub l (i + 1) (String.length l - i - 1)
-       | None -> l)
-      (Check.schedule_to_string v.Check.v_schedule)
-      (if v.Check.v_fault_budget > 0 then
-         Printf.sprintf " --fault-budget %d" v.Check.v_fault_budget
-       else "")
-      (if v.Check.v_dup then " --dup" else "");
+    Format.fprintf ppf "%s@." (reproduce v);
     close_out oc;
     let verdict, events =
       Check.replay ~trace:true ~fault_budget:v.Check.v_fault_budget
@@ -868,21 +842,7 @@ let check_cmd =
                     p.Lcm_core.Policy.name r.Check.rep_label st.Check.schedules;
                   let v = Check.shrink_violation v in
                   Format.printf "%a@." Check.pp_violation v;
-                  Printf.printf
-                    "  reproduce: lcm_sim check --policy %s --scenario %s \
-                     --replay %s%s%s\n%!"
-                    v.Check.v_prog.Stress.policy.Lcm_core.Policy.name
-                    (let l = v.Check.v_label in
-                     match String.index_opt l ':' with
-                     | Some i ->
-                       String.sub l (i + 1) (String.length l - i - 1)
-                     | None -> l)
-                    (Check.schedule_to_string v.Check.v_schedule)
-                    (if v.Check.v_fault_budget > 0 then
-                       Printf.sprintf " --fault-budget %d"
-                         v.Check.v_fault_budget
-                     else "")
-                    (if v.Check.v_dup then " --dup" else "");
+                  Printf.printf "  %s\n%!" (reproduce v);
                   write_artifacts ~out v);
                 if stats then Format.printf "%a@." Check.pp_stats st)
               reports)
@@ -909,7 +869,7 @@ let check_cmd =
              $(b,--replay) reproduces deterministically.")
     Term.(
       ret
-        (const run $ policy_arg $ scenario_arg $ list_scenarios_arg
+        (const run $ policy_arg ~verb:"checks" $ scenario_arg $ list_scenarios_arg
        $ max_schedules_arg $ random_arg $ seed_arg $ fault_budget_arg
        $ dup_arg $ no_reduce_arg $ replay_arg $ out_arg $ stats_arg))
 

@@ -244,39 +244,7 @@ let on_fault ctl ~src:_ ~dst:_ ~tag:_ =
 (* Executing one schedule of one configuration                         *)
 (* ------------------------------------------------------------------ *)
 
-exception Check_failure of string list
-
 let event_limit = 500_000
-
-let exec_ops prog base mism si nid ops expected () =
-  List.iter2
-    (fun (op : Stress.op) exp ->
-      match op with
-      | Load w -> (
-        let got = Memeff.load (base + w) in
-        match exp with
-        | Some want when got <> want ->
-          mism :=
-            Printf.sprintf
-              "segment %d node %d: load of word %d saw %d, spec expects %d"
-              si nid w got want
-            :: !mism
-        | Some _ | None -> ())
-      | Store (w, v) -> Memeff.store (base + w) v
-      | Rmw (w, k) -> ignore (Memeff.rmw (base + w) (fun x -> x + k))
-      | Accum (w, k) -> (
-        match List.assoc_opt (w / prog.Stress.words_per_block) prog.reductions with
-        | Some rop ->
-          ignore (Memeff.rmw (base + w) (fun x -> rop.Reduction.apply x k))
-        | None ->
-          failwith
-            (Printf.sprintf "Check: accum targets word %d outside every \
-                             registered reduction region" w))
-      | Mark w -> Memeff.directive (Memeff.Mark_modification (base + w))
-      | Flush -> Memeff.directive Memeff.Flush_copies
-      | Work n -> Memeff.work n
-      | Yield -> Memeff.yield ())
-    ops expected
 
 (* Run one schedule of [prog] under the controller, checking every load
    against the spec's prediction, every post-segment word against the
@@ -319,7 +287,8 @@ let run_prog ?(trace = false) (prog : Stress.prog) ~expect ~ctl =
         Array.iteri
           (fun nid opl ->
             Machine.spawn m (Machine.node m nid)
-              (exec_ops prog base mism si nid opl expected.(nid)))
+              (Stress.exec_ops ~oracle:"spec" prog base mism si nid opl
+                 expected.(nid)))
           ops;
         Machine.run_to_quiescence ~limit:event_limit m
       in
@@ -354,22 +323,11 @@ let run_prog ?(trace = false) (prog : Stress.prog) ~expect ~ctl =
             Proto.reconcile p;
             check_words si want);
           check_invariants si;
-          if !mism <> [] then raise (Check_failure (List.rev !mism)))
+          if !mism <> [] then raise (Stress.Mismatch (List.rev !mism)))
         prog.segments;
       Pass
-    with
-    | Check_failure msgs -> Fail (String.concat "\n" msgs)
-    | Failure msg -> Fail ("exception: " ^ msg)
-    | Invalid_argument msg -> Fail ("invalid argument: " ^ msg)
-    | Engine.Stalled { clock; pending } ->
-      Fail
-        (Printf.sprintf
-           "stalled: no delivery progress at clock %d (%d pending)" clock
-           pending)
-    | Network.Net_unreachable { src; dst; tag; attempts } ->
-      Fail
-        (Printf.sprintf "net unreachable: %s %d->%d gave up after %d attempts"
-           tag src dst attempts)
+    with e -> (
+      match Stress.error_of_exn e with Some msg -> Fail msg | None -> raise e)
   in
   (verdict, if trace then Machine.trace_events m else [])
 

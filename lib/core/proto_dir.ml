@@ -142,7 +142,7 @@ type t = {
   mutable rec_state : rstate option;
   wpool : waiter Lcm_util.Pool.t;  (* parked-request cells, recycled on serve *)
   mutable h_data_m : Block.t -> Machine.node -> int -> int -> int -> unit;
-      (* preallocated [Machine.send_call] delivery handler for data
+      (* preallocated [Machine.send] delivery handler for data
          grants: payload = the granted copy, riders = (block, want code).
          A closure over [t], built once at [create]; the t-only handlers
          of the other hot messages are static functions instead. *)
@@ -252,6 +252,11 @@ let want_tag = function
   | Want_rw -> "get_rw"
   | Want_lcm -> "get_lcm"
 
+(* Messages whose handler needs a host-side value beyond [t] and two ints
+   (a block copy, a mask) carry it in a closure; this one static handler
+   runs it on the destination's protocol processor. *)
+let run_k k node now _ _ = k node ~now
+
 let note_mark t nid b =
   t.pending_marks.(nid) := b :: !(t.pending_marks.(nid))
 
@@ -289,7 +294,7 @@ let rec request t node b want ~retry =
       (if home = nid then t.hs.h_fetch_local else t.hs.h_fetch_remote);
     (* the want and requester pack into the rider, so the request rides
        the pooled message cell with no per-message closure *)
-    Machine.send_call t.mach ~src:nid ~dst:home ~words:ctrl_words
+    Machine.send t.mach ~src:nid ~dst:home ~words:ctrl_words
       ~tag:(want_tag want) ~at:(Machine.clock node) recv_get_m t b
       ((want_code want lsl 20) lor nid)
 
@@ -332,7 +337,7 @@ and reply_data t e requester kind ~now =
     recv_data t (Machine.node t.mach home) b data tag ~now
   else
     let data = Block.copy master in
-    Machine.send_call t.mach ~src:home ~dst:requester ~words:(data_words t)
+    Machine.send t.mach ~src:home ~dst:requester ~words:(data_words t)
       ~tag:mtag ~at:now t.h_data_m data b (want_code kind)
 
 and serve t e ~want ~requester ~now =
@@ -346,7 +351,7 @@ and serve t e ~want ~requester ~now =
     e.busy <- Some (Recalling w);
     Stats.Handle.incr t.hs.h_recalls;
     let home = home_of t b in
-    Machine.send_call t.mach ~src:home ~dst:owner ~words:ctrl_words
+    Machine.send t.mach ~src:home ~dst:owner ~words:ctrl_words
       ~tag:"recall" ~at:now recv_recall_m t b 0
   | Exclusive owner, (Want_ro | Want_rw | Want_lcm) ->
     (* A request from the recorded owner cannot happen: an owner only loses
@@ -387,7 +392,7 @@ and serve t e ~want ~requester ~now =
       ISet.iter
         (fun sharer ->
           Stats.Handle.incr t.hs.h_invals;
-          Machine.send_call t.mach ~src:home ~dst:sharer ~words:ctrl_words
+          Machine.send t.mach ~src:home ~dst:sharer ~words:ctrl_words
             ~tag:"inval" ~at:now recv_inval_serve_m t b home)
         others
     end
@@ -413,13 +418,13 @@ and drain t e ~now =
   end
 
 (* Static message handlers: preallocated once, delivered through
-   {!Machine.send_call}'s pooled cells, so the recall / serve-invalidate
+   {!Machine.send}'s pooled cells, so the recall / serve-invalidate
    control traffic allocates nothing per message. *)
 and recv_recall_m t onode now b _x = owner_recv_recall t b onode ~now
 
 and recv_inval_serve_m t snode now b home =
   sharer_do_inval t b snode;
-  Machine.send_call t.mach ~src:(Machine.id snode) ~dst:home ~words:ctrl_words
+  Machine.send t.mach ~src:(Machine.id snode) ~dst:home ~words:ctrl_words
     ~tag:"inval_ack" ~at:now recv_inval_ack_serve_m t b 0
 
 and recv_inval_ack_serve_m t _hnode now b _x = home_recv_inval_ack t b ~now
@@ -432,13 +437,20 @@ and owner_recv_recall t b onode ~now =
     let data = Block.copy line.Machine.data in
     Machine.drop_line onode b;
     Stats.Handle.incr t.hs.h_writebacks;
-    Machine.send t.mach ~src:nid ~dst:home ~words:(data_words t) ~tag:"put"
-      ~at:now (fun _ ~now -> home_recv_put t b (Some data) ~from:nid ~mark:false ~now)
+    send_put t b data ~from:nid ~tag:"put" ~mark:false ~at:now
   | Some _ | None ->
     (* Already evicted or marked: the corresponding Put travelled first on
        this FIFO channel, so the home's master is already current. *)
     Machine.send t.mach ~src:nid ~dst:home ~words:ctrl_words ~tag:"recall_nack"
-      ~at:now (fun _ ~now -> home_recv_recall_nack t b ~now)
+      ~at:now recv_recall_nack_m t b 0
+
+(* Return a writable copy's value to the home: a recall reply, an
+   eviction writeback or an exclusive owner's mark. *)
+and send_put t b data ~from ~tag ~mark ~at =
+  Machine.send t.mach ~src:from ~dst:(home_of t b) ~words:(data_words t) ~tag
+    ~at run_k
+    (fun _ ~now -> home_recv_put t b (Some data) ~from ~mark ~now)
+    0 0
 
 and home_recv_put t b data ~from ~mark ~now =
   let e = get_entry t b in
@@ -458,6 +470,8 @@ and home_recv_put t b data ~from ~mark ~now =
     serve t e ~want ~requester ~now;
     drain t e ~now
   | Some (Invalidating _) | None -> ())
+
+and recv_recall_nack_m t _hnode now b _x = home_recv_recall_nack t b ~now
 
 and home_recv_recall_nack t b ~now =
   let e = get_entry t b in
@@ -560,10 +574,8 @@ and mark_parallel t node ~addr ~retry =
       (* Remote exclusive owner: push the current value home (it is the
          phase-start value) and keep a private copy.  FIFO ordering
          guarantees the Put precedes any flush from this node. *)
-      let data = Block.copy line.Machine.data in
-      Machine.send t.mach ~src:nid ~dst:home ~words:(data_words t)
-        ~tag:"put_mark" ~at:(Machine.clock node) (fun _ ~now ->
-          home_recv_put t b (Some data) ~from:nid ~mark:true ~now)
+      send_put t b (Block.copy line.Machine.data) ~from:nid ~tag:"put_mark"
+        ~mark:true ~at:(Machine.clock node)
     end;
     line.Machine.tag <- Tag.Lcm_modified;
     line.Machine.dirty <- Mask.empty;
@@ -667,7 +679,7 @@ let merge_flush t b data mask ~from ~epoch =
 
 (* Sweep-invalidation handlers, shared by the strict-detection and
    reconcile sweeps: preallocated once and delivered through
-   {!Machine.send_call}'s pooled cells, because the sweep sends one
+   {!Machine.send}'s pooled cells, because the sweep sends one
    invalidation per (modified block, outstanding copy) — the dominant
    message class of write-heavy reconciliations. *)
 let recv_sweep_ack_m t _hnode now b _x =
@@ -682,29 +694,42 @@ let recv_sweep_ack_m t _hnode now b _x =
 
 let recv_inval_sweep_m t snode now b home =
   sharer_do_inval t b snode;
-  Machine.send_call t.mach ~src:(Machine.id snode) ~dst:home ~words:ctrl_words
+  Machine.send t.mach ~src:(Machine.id snode) ~dst:home ~words:ctrl_words
     ~tag:"inval_ack" ~at:now recv_sweep_ack_m t b 0
 
-let rec home_recv_flush t b data mask ~from ~epoch ~now =
+(* Send a marked line's dirty words home for reconciliation; the home
+   acks, and the node joins the barrier once every flush is acked. *)
+let rec send_flush t node b (line : Machine.line) ~mask ~epoch =
+  let nid = Machine.id node in
+  let data = Block.copy line.Machine.data in
+  t.pending_flush_acks.(nid) <- t.pending_flush_acks.(nid) + 1;
+  Machine.send t.mach ~src:nid ~dst:(home_of t b) ~words:(data_words t + 1)
+    ~tag:"flush" ~at:(Machine.clock node) run_k
+    (fun _ ~now -> home_recv_flush t b data mask ~from:nid ~epoch ~now)
+    0 0
+
+and home_recv_flush t b data mask ~from ~epoch ~now =
   merge_flush t b data mask ~from ~epoch;
   let home = home_of t b in
   Machine.send t.mach ~src:home ~dst:from ~words:ctrl_words ~tag:"flush_ack"
-    ~at:now (fun fnode ~now ->
-      let nid = Machine.id fnode in
-      t.pending_flush_acks.(nid) <- t.pending_flush_acks.(nid) - 1;
-      if t.awaiting_join.(nid) && t.pending_flush_acks.(nid) = 0 then begin
-        t.awaiting_join.(nid) <- false;
-        match t.rec_state with
-        | Some r ->
-          r.joined <- r.joined + 1;
-          r.join_time <- max r.join_time now;
-          r.join_times.(nid) <- now;
-          r.done_times.(nid) <- max r.done_times.(nid) now;
-          Machine.trace_emit t.mach ~time:now
-            (Machine.Trace.Barrier_enter { node = nid });
-          if r.joined = Machine.nnodes t.mach then start_sweep t ~now
-        | None -> ()
-      end)
+    ~at:now recv_flush_ack_m t b 0
+
+and recv_flush_ack_m t fnode now _b _x =
+  let nid = Machine.id fnode in
+  t.pending_flush_acks.(nid) <- t.pending_flush_acks.(nid) - 1;
+  if t.awaiting_join.(nid) && t.pending_flush_acks.(nid) = 0 then begin
+    t.awaiting_join.(nid) <- false;
+    match t.rec_state with
+    | Some r ->
+      r.joined <- r.joined + 1;
+      r.join_time <- max r.join_time now;
+      r.join_times.(nid) <- now;
+      r.done_times.(nid) <- max r.done_times.(nid) now;
+      Machine.trace_emit t.mach ~time:now
+        (Machine.Trace.Barrier_enter { node = nid });
+      if r.joined = Machine.nnodes t.mach then start_sweep t ~now
+    | None -> ()
+  end
 
 (* flush_copies(): return every locally-modified LCM block to its home.
    scc drops the local copy (the next access refetches the clean value);
@@ -740,13 +765,7 @@ and flush_node t node =
             Machine.advance_clock node costs.Lcm_sim.Costs.local_copy;
             merge_flush t b line.Machine.data mask ~from:nid ~epoch
           end
-          else begin
-            let data = Block.copy line.Machine.data in
-            t.pending_flush_acks.(nid) <- t.pending_flush_acks.(nid) + 1;
-            Machine.send t.mach ~src:nid ~dst:home ~words:(data_words t + 1)
-              ~tag:"flush" ~at:(Machine.clock node) (fun _ ~now ->
-                home_recv_flush t b data mask ~from:nid ~epoch ~now)
-          end;
+          else send_flush t node b line ~mask ~epoch;
           if t.dp.Policy.local_clean_copies then begin
             (match line.Machine.local_clean with
             | Some clean -> Block.blit ~src:clean ~dst:line.Machine.data
@@ -789,7 +808,7 @@ and start_sweep t ~now =
            (fun target ->
              r.inval_acks_left <- r.inval_acks_left + 1;
              Stats.Handle.incr t.hs.h_strict_invals;
-             Machine.send_call t.mach ~src:home ~dst:target ~words:ctrl_words
+             Machine.send t.mach ~src:home ~dst:target ~words:ctrl_words
                ~tag:"inval" ~at:sweep_time recv_inval_sweep_m t b home)
            targets;
          if not (ISet.is_empty targets) then begin
@@ -813,14 +832,6 @@ and start_sweep t ~now =
         let targets =
           ISet.remove home (ISet.union (sharers_of e.dstate) e.lcm_holders)
         in
-        let ack_from snode ~now =
-          Machine.send t.mach ~src:(Machine.id snode) ~dst:home
-            ~words:ctrl_words ~tag:"inval_ack" ~at:now (fun _ ~now ->
-              r.inval_acks_left <- r.inval_acks_left - 1;
-              r.last_ack_time <- max r.last_ack_time now;
-              r.done_times.(home) <- max r.done_times.(home) now;
-              try_finish_reconcile t ~now)
-        in
         if t.dp.Policy.update_on_reconcile then begin
           (* update-based reconciliation: push the new value into every
              outstanding read-only copy instead of invalidating it *)
@@ -830,7 +841,8 @@ and start_sweep t ~now =
               r.inval_acks_left <- r.inval_acks_left + 1;
               Stats.Handle.incr t.hs.h_reconcile_updates;
               Machine.send t.mach ~src:home ~dst:target ~words:(data_words t)
-                ~tag:"update" ~at:sweep_time (fun snode ~now ->
+                ~tag:"update" ~at:sweep_time run_k
+                (fun snode ~now ->
                   (match Machine.find_line snode b with
                   | Some line
                     when line.Machine.tag = Tag.Read_only
@@ -838,7 +850,10 @@ and start_sweep t ~now =
                     ->
                     Block.blit ~src:fresh ~dst:line.Machine.data
                   | Some _ | None -> () (* dropped, pinned or upgraded *));
-                  ack_from snode ~now))
+                  Machine.send t.mach ~src:(Machine.id snode) ~dst:home
+                    ~words:ctrl_words ~tag:"inval_ack" ~at:now
+                    recv_sweep_ack_m t b 0)
+                0 0)
             targets;
           (* copies stay valid: the sharer set survives reconciliation *)
           if ISet.is_empty targets then begin
@@ -855,7 +870,7 @@ and start_sweep t ~now =
             (fun target ->
               r.inval_acks_left <- r.inval_acks_left + 1;
               Stats.Handle.incr t.hs.h_reconcile_invals;
-              Machine.send_call t.mach ~src:home ~dst:target ~words:ctrl_words
+              Machine.send t.mach ~src:home ~dst:target ~words:ctrl_words
                 ~tag:"inval" ~at:sweep_time recv_inval_sweep_m t b home)
             targets;
           e.dstate <- Home_owned;
@@ -950,6 +965,12 @@ let directive t node d ~retry =
     retry ()
   | _ -> failwith "Proto: unknown memory-system directive"
 
+let recv_evict_ro_m t _hnode _now b from =
+  let e = get_entry t b in
+  match e.dstate with
+  | Shared s -> e.dstate <- Shared (ISet.remove from s)
+  | Home_owned | Exclusive _ -> ()
+
 let evict t node b line =
   let nid = Machine.id node in
   let home = home_of t b in
@@ -957,17 +978,11 @@ let evict t node b line =
   | Tag.Invalid -> ()
   | Tag.Read_only ->
     Machine.send t.mach ~src:nid ~dst:home ~words:ctrl_words ~tag:"evict_ro"
-      ~at:(Machine.clock node) (fun _ ~now:_ ->
-        let e = get_entry t b in
-        match e.dstate with
-        | Shared s -> e.dstate <- Shared (ISet.remove nid s)
-        | Home_owned | Exclusive _ -> ())
+      ~at:(Machine.clock node) recv_evict_ro_m t b nid
   | Tag.Writable ->
     let data = Block.copy line.Machine.data in
     Stats.Handle.incr t.hs.h_writebacks;
-    Machine.send t.mach ~src:nid ~dst:home ~words:(data_words t) ~tag:"put"
-      ~at:(Machine.clock node) (fun _ ~now ->
-        home_recv_put t b (Some data) ~from:nid ~mark:false ~now)
+    send_put t b data ~from:nid ~tag:"put" ~mark:false ~at:(Machine.clock node)
   | Tag.Lcm_modified ->
     if not (Mask.is_empty line.Machine.dirty) then begin
       let mask = line.Machine.dirty in
@@ -976,13 +991,7 @@ let evict t node b line =
       (* local home: merge the evicted line's data in place (read-only
          use, and the line is dropped right after) — no copy *)
       if home = nid then merge_flush t b line.Machine.data mask ~from:nid ~epoch
-      else begin
-        let data = Block.copy line.Machine.data in
-        t.pending_flush_acks.(nid) <- t.pending_flush_acks.(nid) + 1;
-        Machine.send t.mach ~src:nid ~dst:home ~words:(data_words t + 1)
-          ~tag:"flush" ~at:(Machine.clock node) (fun _ ~now ->
-            home_recv_flush t b data mask ~from:nid ~epoch ~now)
-      end
+      else send_flush t node b line ~mask ~epoch
     end
 
 let touch_entry t b = ignore (get_entry t b)

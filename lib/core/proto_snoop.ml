@@ -246,13 +246,28 @@ let do_bus_flush t b ~now =
 (* ------------------------------------------------------------------ *)
 
 (* Static grant handlers: preallocated once and delivered through
-   {!Bus.transact_call}'s pooled grant cells, so a steady-state snooping
+   {!Bus.transact_call}'s pooled engine events, so a steady-state snooping
    transaction allocates nothing host-side.  The rider packs
-   [(nid lsl 40) lor b] — block numbers stay far below 2^40. *)
-let grant_rd_m t now x = do_bus_rd t (x land ((1 lsl 40) - 1)) (x lsr 40) ~now
-let grant_rdx_m t now x = do_bus_rdx t (x land ((1 lsl 40) - 1)) (x lsr 40) ~now
-let grant_upgr_m t now x = do_bus_upgr t (x land ((1 lsl 40) - 1)) (x lsr 40) ~now
-let grant_flush_m t now b = do_bus_flush t b ~now
+   [(nid lsl 40) lor b] — block numbers stay far below 2^40.  Each first
+   reports a completed bus transaction as semantic progress to the stall
+   watchdog that fault plans arm. *)
+let progress t = Lcm_sim.Engine.notify_progress (Machine.engine t.mach)
+
+let grant_rd_m t now x =
+  progress t;
+  do_bus_rd t (x land ((1 lsl 40) - 1)) (x lsr 40) ~now
+
+let grant_rdx_m t now x =
+  progress t;
+  do_bus_rdx t (x land ((1 lsl 40) - 1)) (x lsr 40) ~now
+
+let grant_upgr_m t now x =
+  progress t;
+  do_bus_upgr t (x land ((1 lsl 40) - 1)) (x lsr 40) ~now
+
+let grant_flush_m t now b =
+  progress t;
+  do_bus_flush t b ~now
 
 (* One in-flight transaction per (node, block): later faults pile their
    retries onto the pending entry and resume with the grant.  Returns

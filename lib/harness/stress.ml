@@ -257,11 +257,11 @@ let golden prog =
 (* Running a program against the real stack                            *)
 (* ------------------------------------------------------------------ *)
 
-exception Stress_failure of string list
+exception Mismatch of string list
 
 let event_limit = 3_000_000
 
-let exec_ops prog base mism si nid ops expected () =
+let exec_ops ~oracle prog base mism si nid ops expected () =
   List.iter2
     (fun op exp ->
       match op with
@@ -271,9 +271,8 @@ let exec_ops prog base mism si nid ops expected () =
         | Some want when got <> want ->
           mism :=
             Printf.sprintf
-              "segment %d node %d: load of word %d saw %d, golden model \
-               expects %d"
-              si nid w got want
+              "segment %d node %d: load of word %d saw %d, %s expects %d" si
+              nid w got oracle want
             :: !mism
         | Some _ | None -> ())
       | Store (w, v) -> Memeff.store (base + w) v
@@ -292,6 +291,21 @@ let exec_ops prog base mism si nid ops expected () =
       | Work n -> Memeff.work n
       | Yield -> Memeff.yield ())
     ops expected
+
+let error_of_exn = function
+  | Mismatch msgs -> Some (String.concat "\n" msgs)
+  | Failure msg -> Some ("exception: " ^ msg)
+  | Invalid_argument msg -> Some ("invalid argument: " ^ msg)
+  | Lcm_sim.Engine.Stalled { clock; pending } ->
+    Some
+      (Printf.sprintf "stalled: no delivery progress at clock %d (%d pending)"
+         clock pending)
+  | Lcm_net.Network.Net_unreachable { src; dst; tag; attempts } ->
+    Some
+      (Printf.sprintf
+         "net unreachable: %s %d->%d gave up after %d attempts" tag src dst
+         attempts)
+  | _ -> None
 
 let run_case ?faults prog =
   let nwords = nwords_of prog in
@@ -321,7 +335,8 @@ let run_case ?faults prog =
       Array.iteri
         (fun nid opl ->
           Machine.spawn m (Machine.node m nid)
-            (exec_ops prog base mism si nid opl expected.(nid)))
+            (exec_ops ~oracle:"golden model" prog base mism si nid opl
+               expected.(nid)))
         ops;
       Machine.run_to_quiescence ~limit:event_limit m
     in
@@ -361,22 +376,11 @@ let run_case ?faults prog =
         check_invariants si;
         (* Stop at the first diverging segment: once the states differ,
            later segments only produce cascading noise. *)
-        if !mism <> [] then raise (Stress_failure (List.rev !mism)))
+        if !mism <> [] then raise (Mismatch (List.rev !mism)))
       prog.segments;
     Ok ()
-  with
-  | Stress_failure msgs -> Error (String.concat "\n" msgs)
-  | Failure msg -> Error ("exception: " ^ msg)
-  | Invalid_argument msg -> Error ("invalid argument: " ^ msg)
-  | Lcm_sim.Engine.Stalled { clock; pending } ->
-    Error
-      (Printf.sprintf "stalled: no delivery progress at clock %d (%d pending)"
-         clock pending)
-  | Lcm_net.Network.Net_unreachable { src; dst; tag; attempts } ->
-    Error
-      (Printf.sprintf
-         "net unreachable: %s %d->%d gave up after %d attempts" tag src dst
-         attempts)
+  with e -> (
+    match error_of_exn e with Some msg -> Error msg | None -> raise e)
 
 (* ------------------------------------------------------------------ *)
 (* Program generation                                                  *)

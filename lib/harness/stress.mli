@@ -98,6 +98,37 @@ val run_case : ?faults:Lcm_net.Faults.t -> prog -> (unit, string) result
     retransmission enabled the final semantic state must be identical to
     the fault-free run. *)
 
+exception Mismatch of string list
+(** A run diverged from its oracle; the strings are the divergences of
+    the first diverging segment. *)
+
+val exec_ops :
+  oracle:string ->
+  prog ->
+  int ->
+  string list ref ->
+  int ->
+  int ->
+  op list ->
+  int option list ->
+  unit ->
+  unit
+(** [exec_ops ~oracle prog base mism si nid ops expected ()] runs node
+    [nid]'s operations of segment [si] as fiber code against the region
+    allocated at [base].  Each load whose value differs from its
+    [expected] entry ([None] = unchecked) is added to [mism], in words
+    that name [oracle] as the source of the expectation.  Shared by
+    {!run_case} and the model checker, so both execute a program the same
+    way.
+    @raise Failure on an [Accum] outside every registered reduction
+    region. *)
+
+val error_of_exn : exn -> string option
+(** The failure report for an exception a run raised: {!Mismatch}, a
+    protocol [Failure] or [Invalid_argument], {!Lcm_sim.Engine.Stalled}
+    or {!Lcm_net.Network.Net_unreachable}; [None] for any other exception,
+    which the caller re-raises. *)
+
 val golden : prog -> (int option list array * int array) list
 (** The golden model's verdict on a whole program, one entry per segment:
     the expected load values per node ([None] where the value is

@@ -49,8 +49,9 @@ val transact_call :
 (** [transact_call t ~kind ~at ~words h p x] queues a transaction
     requested at cycle [at]; [h p now x] runs when its bus occupancy
     completes ([now] is that cycle).  Grants are in request order.  The
-    grant handler is {e preallocated}: the triple rides a pooled grant
-    record through the engine's allocation-free scheduling path, so a
-    steady-state bus transaction allocates nothing.  [p] is the handler's
-    payload and [x] an integer rider (a packed requester/block
-    descriptor). *)
+    grant handler is {e preallocated}: the triple rides the engine's
+    pooled event ({!Lcm_sim.Engine.schedule_call}), so a steady-state bus
+    transaction allocates nothing.  [p] is the handler's payload and [x]
+    an integer rider (a packed requester/block descriptor).  The bus
+    reports no progress to the engine's stall watchdog; a handler that
+    completes a transaction does that itself. *)

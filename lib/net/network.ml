@@ -128,18 +128,21 @@ let tag_counter t tag =
 (* Top-level, so the hot [validate] allocates no closure for it. *)
 let bad_node t name v =
   invalid_arg
-    (Printf.sprintf "Network.send: %s %d out of range [0, %d]" name v
-       (t.nnodes - 1))
+    (Printf.sprintf "Network.send_reliable_call: %s %d out of range [0, %d]"
+       name v (t.nnodes - 1))
 
 let validate t ~src ~dst ~words ~at =
   if src < 0 || src >= t.nnodes then bad_node t "src" src;
   if dst < 0 || dst >= t.nnodes then bad_node t "dst" dst;
   if words <= 0 then
     invalid_arg
-      (Printf.sprintf "Network.send: words %d out of range (must be >= 1)" words);
+      (Printf.sprintf
+         "Network.send_reliable_call: words %d out of range (must be >= 1)"
+         words);
   if at < 0 then
     invalid_arg
-      (Printf.sprintf "Network.send: at %d out of range (must be >= 0)" at)
+      (Printf.sprintf
+         "Network.send_reliable_call: at %d out of range (must be >= 0)" at)
 
 let count t ~words tag =
   Stats.Handle.incr t.msgs;
@@ -148,16 +151,15 @@ let count t ~words tag =
   | Some tag -> Stats.Handle.incr (tag_counter t tag)
   | None -> ()
 
-(* Preallocated delivery handler for the closure-based entry points: the
-   event payload is the caller's continuation, the first int slot its
-   arrival time.  One closed function serves every message in the run.
-   The generalized [loopback]/[inject] below carry an arbitrary
-   (handler, payload, int) triple instead, so callers with a
-   preallocated handler (see [send_reliable_call]) pay no per-message
-   allocation at all; the closure API is [h = deliver_call, p = k, x = 0].
-   Tracing decides per message at send time: a traced send falls back to
-   a closure that re-reads [t.trace] at delivery (it must emit Msg_recv
-   with the message's identity, which the int slots cannot carry). *)
+(* The transport's own continuations (the reliable envelope's receive
+   side and its acks) are closures; this preallocated handler runs one
+   from an engine event: the payload is the continuation, the first int
+   slot its arrival time.  Application messages carry their own
+   (handler, payload, int) triple through [loopback]/[inject] instead, so
+   an untraced fault-free message allocates nothing.  Tracing decides per
+   message at send time: a traced send falls back to a closure that
+   re-reads [t.trace] at delivery (it must emit Msg_recv with the
+   message's identity, which the int slots cannot carry). *)
 let deliver_call (k : arrival:int -> unit) arrival _unused = k ~arrival
 
 (* Node-local traffic never touches the interconnect: it pays the fixed
@@ -238,7 +240,7 @@ let drop_copy t ~src ~dst ~words ~tag ~t_decide =
          { tag = Option.value tag ~default:"-"; src; dst; words })
   | None -> ()
 
-let faulty_send t (plan : Faults.t) ~src ~dst ~words ~tag ~at k =
+let faulty_send t (plan : Faults.t) ~src ~dst ~words ~tag ~at h p x =
   match t.fate_of with
   | Some choose -> (
     (* Deterministic fate injection: the chooser fully owns this copy's
@@ -247,12 +249,12 @@ let faulty_send t (plan : Faults.t) ~src ~dst ~words ~tag ~at k =
        sender's interface exactly like an RNG drop. *)
     let t_decide = max at (Lcm_sim.Engine.now t.engine) in
     match choose ~src ~dst ~tag with
-    | Deliver -> inject t ~src ~dst ~words ~tag ~at deliver_call k 0
+    | Deliver -> inject t ~src ~dst ~words ~tag ~at h p x
     | Drop -> drop_copy t ~src ~dst ~words ~tag ~t_decide
     | Dup ->
       Stats.Handle.incr t.h_dups;
-      inject t ~src ~dst ~words ~tag ~at deliver_call k 0;
-      inject t ~src ~dst ~words ~tag ~at deliver_call k 0)
+      inject t ~src ~dst ~words ~tag ~at h p x;
+      inject t ~src ~dst ~words ~tag ~at h p x)
   | None ->
   (* Straight-line per-copy decisions; the RNG draw order (drop1, dup,
      drop2, jit1, jit2) is part of the replay contract — fault patterns
@@ -268,143 +270,124 @@ let faulty_send t (plan : Faults.t) ~src ~dst ~words ~tag ~at k =
     if dup && plan.jitter > 0 then Rng.int t.frng (plan.jitter + 1) else 0
   in
   if drop1 || down then drop_copy t ~src ~dst ~words ~tag ~t_decide
-  else inject t ~src ~dst ~words ~tag ~at:(at + jit1) deliver_call k 0;
+  else inject t ~src ~dst ~words ~tag ~at:(at + jit1) h p x;
   if dup then begin
     Stats.Handle.incr t.h_dups;
     if drop2 || down then drop_copy t ~src ~dst ~words ~tag ~t_decide
-    else inject t ~src ~dst ~words ~tag ~at:(at + jit2) deliver_call k 0
+    else inject t ~src ~dst ~words ~tag ~at:(at + jit2) h p x
   end
-
-let send t ~src ~dst ~words ?tag ~at k =
-  validate t ~src ~dst ~words ~at;
-  if src = dst then loopback t ~src ~words ?tag ~at deliver_call k 0
-  else (
-    match t.faults with
-    | None -> inject t ~src ~dst ~words ~tag ~at deliver_call k 0
-    | Some plan -> faulty_send t plan ~src ~dst ~words ~tag ~at k)
 
 (* Reliable transport: sequence-numbered envelopes per channel, an ack per
    received copy (itself lossy), receiver-side dedup + in-order release,
    and sender-side timeout with exponential backoff up to the plan's retry
-   cap.  With no fault plan this is exactly [send] — zero envelope
-   overhead on the reliable-substrate configuration the paper assumes. *)
-let send_reliable t ~src ~dst ~words ?tag ~at k =
+   cap.  [h p arrival x] runs exactly once, in channel order. *)
+let send_enveloped t (plan : Faults.t) ~src ~dst ~words ~tag ~at h p x =
+  let tag_name = Option.value tag ~default:"-" in
+  let chan = (src * t.nnodes) + dst in
+  let seq = t.rel_next.(chan) in
+  t.rel_next.(chan) <- seq + 1;
+  let st = Lcm_util.Pool.acquire t.rel_pool in
+  st.acked <- false;
+  st.attempt <- 0;
+  st.gen <- st.gen + 1;
+  let gen = st.gen in
+  let rto0 =
+    match plan.rto with
+    | Some r -> r
+    | None ->
+      (* a round trip (envelope + 1-word ack) with headroom for jitter
+         and channel occupancy; a spurious retransmit is only wasted
+         bandwidth (dedup absorbs it), so err short rather than long *)
+      (2 * (latency t ~src ~dst ~words + latency t ~src:dst ~dst:src ~words:1))
+      + (4 * plan.jitter)
+      + (4 * transmission_time t ~words)
+      + 16
+  in
+  let on_ack ~arrival:_ =
+    (* the [gen] guard keeps a late duplicate's ack from writing into a
+       recycled record after the stale timer released it *)
+    if st.gen = gen then st.acked <- true;
+    (* an ack landing is transport-level progress for the stall watchdog
+       even when the payload copy was a suppressed dup *)
+    Lcm_sim.Engine.notify_progress t.engine
+  in
+  let deliver ~arrival =
+    (* Every received copy is acked — a duplicate means the previous
+       ack was (or may have been) lost. *)
+    faulty_send t plan ~src:dst ~dst:src ~words:1 ~tag:(Some "ack")
+      ~at:arrival deliver_call on_ack 0;
+    let expected = t.rel_expected.(chan) in
+    if seq < expected || Hashtbl.mem t.rel_held ((chan lsl 40) + seq) then
+      Stats.Handle.incr t.h_dup_suppressed
+    else if seq = expected then begin
+      t.rel_expected.(chan) <- expected + 1;
+      Lcm_sim.Engine.notify_progress t.engine;
+      h p arrival x;
+      let rec drain () =
+        let nxt = t.rel_expected.(chan) in
+        match Hashtbl.find_opt t.rel_held ((chan lsl 40) + nxt) with
+        | Some run ->
+          Hashtbl.remove t.rel_held ((chan lsl 40) + nxt);
+          t.rel_expected.(chan) <- nxt + 1;
+          run arrival;
+          drain ()
+        | None -> ()
+      in
+      drain ()
+    end
+    else Hashtbl.replace t.rel_held ((chan lsl 40) + seq) (fun a -> h p a x)
+  in
+  let rec transmit ~at =
+    st.attempt <- st.attempt + 1;
+    if st.attempt > 1 then begin
+      Stats.Handle.incr t.h_retx;
+      match t.trace with
+      | Some tr ->
+        Lcm_sim.Trace.emit tr
+          ~time:(max at (Lcm_sim.Engine.now t.engine))
+          (Lcm_sim.Trace.Msg_retx
+             { tag = tag_name; src; dst; words; attempt = st.attempt })
+      | None -> ()
+    end;
+    faulty_send t plan ~src ~dst ~words ~tag ~at deliver_call deliver 0;
+    let backoff = rto0 lsl min (st.attempt - 1) 16 in
+    let t_check = max at (Lcm_sim.Engine.now t.engine) + backoff in
+    (* owner hint: the retransmission timer lives at the sender *)
+    Lcm_sim.Engine.schedule t.engine ~owner:src ~at:t_check (fun () ->
+        if st.acked then begin
+          (* A stale timer of a delivered message is evidence the run is
+             advancing; without this, a long-backoff timer outliving the
+             workload could trip the watchdog during the final drain.
+             Exactly one timer chain exists per message, so this stale
+             timer is the record's last owner-side reference: recycle. *)
+          Lcm_sim.Engine.notify_progress t.engine;
+          Lcm_util.Pool.release t.rel_pool st
+        end
+        else begin
+          Stats.Handle.incr t.h_timeouts;
+          if st.attempt > plan.max_retries then
+            raise
+              (Net_unreachable
+                 { src; dst; tag = tag_name; attempts = st.attempt })
+          else begin
+            Stats.Handle.observe t.retx_backoff (float_of_int backoff);
+            transmit ~at:(Lcm_sim.Engine.now t.engine)
+          end
+        end)
+  in
+  transmit ~at
+
+(* Without a fault plan the reliable path IS the plain send, so the
+   triple rides the pooled engine event directly; with one, the envelope
+   machinery needs a per-message continuation anyway. *)
+let send_reliable_call t ~src ~dst ~words ?tag ~at h p x =
   validate t ~src ~dst ~words ~at;
-  if src = dst then loopback t ~src ~words ?tag ~at deliver_call k 0
+  if src = dst then loopback t ~src ~words ?tag ~at h p x
   else
-    let tag_name = Option.value tag ~default:"-" in
     match t.faults with
-    | None -> inject t ~src ~dst ~words ~tag ~at deliver_call k 0
+    | None -> inject t ~src ~dst ~words ~tag ~at h p x
     | Some plan when not plan.retransmit ->
       (* diagnostic mode: lose messages for good; the engine watchdog (or a
          drained queue with suspended fibers) reports the stall *)
-      faulty_send t plan ~src ~dst ~words ~tag ~at k
-    | Some plan ->
-      let chan = (src * t.nnodes) + dst in
-      let seq = t.rel_next.(chan) in
-      t.rel_next.(chan) <- seq + 1;
-      let st = Lcm_util.Pool.acquire t.rel_pool in
-      st.acked <- false;
-      st.attempt <- 0;
-      st.gen <- st.gen + 1;
-      let gen = st.gen in
-      let rto0 =
-        match plan.rto with
-        | Some r -> r
-        | None ->
-          (* a round trip (envelope + 1-word ack) with headroom for jitter
-             and channel occupancy; a spurious retransmit is only wasted
-             bandwidth (dedup absorbs it), so err short rather than long *)
-          (2 * (latency t ~src ~dst ~words + latency t ~src:dst ~dst:src ~words:1))
-          + (4 * plan.jitter)
-          + (4 * transmission_time t ~words)
-          + 16
-      in
-      let deliver ~arrival =
-        (* Every received copy is acked — a duplicate means the previous
-           ack was (or may have been) lost. *)
-        faulty_send t plan ~src:dst ~dst:src ~words:1 ~tag:(Some "ack")
-          ~at:arrival (fun ~arrival:_ ->
-            (* the [gen] guard keeps a late duplicate's ack from writing
-               into a recycled record after the stale timer released it *)
-            if st.gen = gen then st.acked <- true;
-            (* an ack landing is transport-level progress for the stall
-               watchdog even when the payload copy was a suppressed dup *)
-            Lcm_sim.Engine.notify_progress t.engine);
-        let expected = t.rel_expected.(chan) in
-        if seq < expected || Hashtbl.mem t.rel_held ((chan lsl 40) + seq) then
-          Stats.Handle.incr t.h_dup_suppressed
-        else if seq = expected then begin
-          t.rel_expected.(chan) <- expected + 1;
-          Lcm_sim.Engine.notify_progress t.engine;
-          k ~arrival;
-          let rec drain () =
-            let nxt = t.rel_expected.(chan) in
-            match Hashtbl.find_opt t.rel_held ((chan lsl 40) + nxt) with
-            | Some run ->
-              Hashtbl.remove t.rel_held ((chan lsl 40) + nxt);
-              t.rel_expected.(chan) <- nxt + 1;
-              run arrival;
-              drain ()
-            | None -> ()
-          in
-          drain ()
-        end
-        else Hashtbl.replace t.rel_held ((chan lsl 40) + seq) (fun a -> k ~arrival:a)
-      in
-      let rec transmit ~at =
-        st.attempt <- st.attempt + 1;
-        if st.attempt > 1 then begin
-          Stats.Handle.incr t.h_retx;
-          match t.trace with
-          | Some tr ->
-            Lcm_sim.Trace.emit tr
-              ~time:(max at (Lcm_sim.Engine.now t.engine))
-              (Lcm_sim.Trace.Msg_retx
-                 { tag = tag_name; src; dst; words; attempt = st.attempt })
-          | None -> ()
-        end;
-        faulty_send t plan ~src ~dst ~words ~tag ~at deliver;
-        let backoff = rto0 lsl min (st.attempt - 1) 16 in
-        let t_check =
-          max at (Lcm_sim.Engine.now t.engine) + backoff
-        in
-        (* owner hint: the retransmission timer lives at the sender *)
-        Lcm_sim.Engine.schedule t.engine ~owner:src ~at:t_check (fun () ->
-            if st.acked then begin
-              (* A stale timer of a delivered message is evidence the run is
-                 advancing; without this, a long-backoff timer outliving the
-                 workload could trip the watchdog during the final drain.
-                 Exactly one timer chain exists per message, so this stale
-                 timer is the record's last owner-side reference: recycle. *)
-              Lcm_sim.Engine.notify_progress t.engine;
-              Lcm_util.Pool.release t.rel_pool st
-            end
-            else begin
-              Stats.Handle.incr t.h_timeouts;
-              if st.attempt > plan.max_retries then
-                raise
-                  (Net_unreachable
-                     { src; dst; tag = tag_name; attempts = st.attempt })
-              else begin
-                Stats.Handle.observe t.retx_backoff (float_of_int backoff);
-                transmit ~at:(Lcm_sim.Engine.now t.engine)
-              end
-            end)
-      in
-      transmit ~at
-
-(* Allocation-free variant of [send_reliable]: the caller supplies a
-   preallocated handler plus a payload and an int rider.  Without a
-   fault plan the reliable path IS the plain send, so the triple rides
-   the pooled engine event directly ([h p arrival x] runs at delivery);
-   with one, the envelope machinery needs a per-message continuation
-   anyway and the closure fallback costs nothing extra in proportion. *)
-let send_reliable_call t ~src ~dst ~words ?tag ~at h p x =
-  match t.faults with
-  | None ->
-    validate t ~src ~dst ~words ~at;
-    if src = dst then loopback t ~src ~words ?tag ~at h p x
-    else inject t ~src ~dst ~words ~tag ~at h p x
-  | Some _ ->
-    send_reliable t ~src ~dst ~words ?tag ~at (fun ~arrival -> h p arrival x)
+      faulty_send t plan ~src ~dst ~words ~tag ~at h p x
+    | Some plan -> send_enveloped t plan ~src ~dst ~words ~tag ~at h p x

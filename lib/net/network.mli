@@ -20,14 +20,14 @@
     injection.  It still counts in ["net.msgs"]/["net.words"]/["msg.<tag>"].
 
     {b Fault injection.}  A network created with a {!Faults} plan passes
-    every non-loopback {!send} through a lossy layer that may drop a
+    every non-loopback send through a lossy layer that may drop a
     message, duplicate it, delay it by bounded jitter, or black-hole it
     inside a link-down window — all decided from one {!Lcm_util.Rng}
     stream seeded by the plan, so a (plan, workload) pair replays
     bit-identically.  Dropped copies are lost at the sender's interface:
     they bump ["fault.drops"] and emit {!Lcm_sim.Trace.Msg_drop}, but do
-    not occupy the channel or count as sent messages.  {!send_reliable}
-    layers exactly-once, in-order delivery on top. *)
+    not occupy the channel or count as sent messages.
+    {!send_reliable_call} layers exactly-once, in-order delivery on top. *)
 
 type t
 
@@ -46,7 +46,8 @@ val create :
   unit ->
   t
 (** [faults] installs a fault plan (default: none — the reliable CM-5-style
-    transport the paper assumes, with {!send_reliable} equal to {!send}). *)
+    transport the paper assumes, where {!send_reliable_call} is a plain
+    timed delivery with no envelopes). *)
 
 val faults : t -> Faults.t option
 (** The fault plan this network was created with, if any. *)
@@ -79,54 +80,6 @@ val set_trace : t -> Lcm_sim.Trace.t option -> unit
     plan, dropped copies emit {!Lcm_sim.Trace.Msg_drop} and
     retransmissions {!Lcm_sim.Trace.Msg_retx}. *)
 
-val send :
-  t ->
-  src:int ->
-  dst:int ->
-  words:int ->
-  ?tag:string ->
-  at:int ->
-  (arrival:int -> unit) ->
-  unit
-(** [send n ~src ~dst ~words ~tag ~at k] injects a message of [words]
-    payload words at local time [at] (the sender's clock, which may be
-    ahead of the engine clock) and runs [k ~arrival] at the computed
-    arrival time.  [tag] labels the message class in statistics
-    (["msg.<tag>"]); every send also bumps ["net.msgs"] and
-    ["net.words"].  When channel occupancy or the engine clamp delays the
-    message past its uncontended arrival, the delay is recorded in the
-    ["net.channel_stall_cycles"] sample (one observation per stalled
-    message).  Under a fault plan this path is fire-and-forget: [k] may
-    run zero times (drop, link down) or twice (duplication).
-    @raise Invalid_argument if [src] or [dst] is out of range, [words] is
-    not positive, or [at] is negative. *)
-
-val send_reliable :
-  t ->
-  src:int ->
-  dst:int ->
-  words:int ->
-  ?tag:string ->
-  at:int ->
-  (arrival:int -> unit) ->
-  unit
-(** Like {!send}, but [k] runs {e exactly once}, and messages on one
-    channel are released to the application in send order even when fault
-    injection drops or duplicates copies.  Implementation: per-channel
-    sequence numbers, a receiver-side dedup/reorder buffer (suppressed
-    duplicates bump ["fault.dup_suppressed"]), an acknowledgement (1-word
-    ["ack"] message, itself subject to faults) per received copy, and a
-    sender-side engine timer with exponential backoff that retransmits
-    unacknowledged messages — bumping ["fault.retransmits"] /
-    ["fault.timeouts"] and observing the ["net.retx_backoff_cycles"]
-    sample — until the plan's retry cap.
-    Without a fault plan (or with [src = dst]) this is exactly {!send}: no
-    envelopes, no acks, no timers.  With a plan whose [retransmit] is
-    false it degrades to the lossy fire-and-forget path.
-    @raise Net_unreachable once a message exceeds [max_retries]
-    retransmissions (raised inside the engine loop, propagating out of
-    {!Lcm_sim.Engine.run}). *)
-
 val send_reliable_call :
   t ->
   src:int ->
@@ -138,14 +91,38 @@ val send_reliable_call :
   'a ->
   int ->
   unit
-(** {!send_reliable} for callers with a {e preallocated} delivery
-    handler: exactly-once in-order delivery of [h p arrival x], where [p]
-    is the handler's payload and [x] an integer rider (a block number, a
-    node id).  Without a fault plan the triple rides the pooled engine
-    event, so an untraced message allocates nothing; tracing or a fault
-    plan falls back to an equivalent closure (the envelope machinery
-    needs a per-message continuation regardless).  Timing, statistics
-    and error behaviour are exactly {!send_reliable}'s. *)
+(** [send_reliable_call n ~src ~dst ~words ~tag ~at h p x] injects a
+    message of [words] payload words at local time [at] (the sender's
+    clock, which may be ahead of the engine clock) and runs
+    [h p arrival x] at the computed arrival time.  [h] is meant to be a
+    {e preallocated} handler; [p] is its payload and [x] an integer rider
+    (a block number, a node id).  [tag] labels the message class in
+    statistics (["msg.<tag>"]); every send also bumps ["net.msgs"] and
+    ["net.words"].  When channel occupancy or the engine clamp delays the
+    message past its uncontended arrival, the delay is recorded in the
+    ["net.channel_stall_cycles"] sample (one observation per stalled
+    message).
+
+    Without a fault plan (or with [src = dst]) the triple rides the pooled
+    engine event: no envelopes, no acks, no timers, and an untraced
+    message allocates nothing.  Under a plan, [h] runs {e exactly once},
+    and messages on one channel are released to the application in send
+    order even when fault injection drops or duplicates copies.
+    Implementation: per-channel sequence numbers, a receiver-side
+    dedup/reorder buffer (suppressed duplicates bump
+    ["fault.dup_suppressed"]), an acknowledgement (1-word ["ack"] message,
+    itself subject to faults) per received copy, and a sender-side engine
+    timer with exponential backoff that retransmits unacknowledged
+    messages — bumping ["fault.retransmits"] / ["fault.timeouts"] and
+    observing the ["net.retx_backoff_cycles"] sample — until the plan's
+    retry cap.  With a plan whose [retransmit] is false the send is
+    fire-and-forget instead: [h] may run zero times (drop, link down) or
+    twice (duplication).
+    @raise Invalid_argument if [src] or [dst] is out of range, [words] is
+    not positive, or [at] is negative.
+    @raise Net_unreachable once a message exceeds [max_retries]
+    retransmissions (raised inside the engine loop, propagating out of
+    {!Lcm_sim.Engine.run}). *)
 
 val latency : t -> src:int -> dst:int -> words:int -> int
 (** The uncontended latency the model assigns to such a message

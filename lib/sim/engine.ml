@@ -59,59 +59,36 @@ let total_events () =
 
 let domain_events () = Atomic.get (Domain.DLS.get domain_total)
 
-(* Typed event representation.  The queue used to hold bare closures —
-   one fresh closure per scheduled event, which made the event loop
-   itself the simulator's biggest minor-heap customer.  An event is now
-   a pooled mutable record dispatched on an int opcode:
-
-     op_thunk  cold fallback: run a caller-supplied closure.  Anything
-               that schedules a closure still works, it just pays the
-               closure allocation it always paid (plus nothing: the
-               record comes from the free list).
-     op_call   hot path: apply a *preallocated* handler to a payload and
-               two int arguments carried in unboxed slots.  The handler
-               and payload are stored as [Obj.t]: [schedule_call] pairs
-               them under one type variable at the call site, so the
-               cast back in [run_event] recombines exactly the pair that
-               was type-checked together — the classic existential
-               encoding, never exposed to callers.
-     op_free   poison state between release and re-acquire; executing a
-               free event is a use-after-release bug and fails loudly.
+(* Typed event representation.  An event is a pooled mutable record with
+   one form: a *preallocated* handler applied to a payload and two int
+   arguments carried in unboxed slots, so scheduling allocates no closure.
+   The handler and payload are stored as [Obj.t]: [schedule_call] pairs
+   them under one type variable at the call site, so the cast back in
+   [run_event] recombines exactly the pair that was type-checked
+   together — the classic existential encoding, never exposed to
+   callers.  A closure is scheduled as [call_thunk] applied to it.
 
    Records cycle through a per-engine free list (Lcm_util.Pool), so the
-   steady state allocates nothing per event. *)
+   steady state allocates nothing per event.  A released record holds
+   [dead_h], so executing one is a use-after-release bug that fails
+   loudly. *)
 
 type ev = {
-  mutable op : int;
-  mutable fn : unit -> unit;  (* op_thunk *)
-  mutable hnd : Obj.t;  (* op_call handler: 'a -> int -> int -> unit *)
-  mutable pay : Obj.t;  (* op_call payload: the handler's 'a *)
+  mutable hnd : Obj.t;  (* handler: 'a -> int -> int -> unit *)
+  mutable pay : Obj.t;  (* the handler's 'a payload *)
   mutable i1 : int;
   mutable i2 : int;
   mutable own : int;  (* ownership hint from the scheduler; -1 = unknown *)
 }
 
-let op_free = 0
-let op_thunk = 1
-let op_call = 2
 let unit_obj = Obj.repr ()
-let dead_fn () = failwith "Engine: event used after release"
+let dead_h _ _ _ = failwith "Engine: event used after release"
 
 let make_ev () =
-  {
-    op = op_free;
-    fn = dead_fn;
-    hnd = unit_obj;
-    pay = unit_obj;
-    i1 = 0;
-    i2 = 0;
-    own = -1;
-  }
+  { hnd = Obj.repr dead_h; pay = unit_obj; i1 = 0; i2 = 0; own = -1 }
 
 let poison_ev ev =
-  ev.op <- op_free;
-  ev.fn <- dead_fn;
-  ev.hnd <- unit_obj;
+  ev.hnd <- Obj.repr dead_h;
   ev.pay <- unit_obj
 
 type t = {
@@ -173,23 +150,19 @@ let enqueue e ~owner ~at ev =
   ev.own <- (match owner with Some o -> o | None -> -1);
   Lcm_util.Heap.add e.queue ~key:at ev
 
-let schedule e ?owner ~at f =
-  check_at e at;
-  let ev = Lcm_util.Pool.acquire e.pool in
-  ev.op <- op_thunk;
-  ev.fn <- f;
-  enqueue e ~owner ~at ev
-
 let schedule_call (type a) e ?owner ~at (h : a -> int -> int -> unit) (p : a)
     i1 i2 =
   check_at e at;
   let ev = Lcm_util.Pool.acquire e.pool in
-  ev.op <- op_call;
   ev.hnd <- Obj.repr h;
   ev.pay <- Obj.repr p;
   ev.i1 <- i1;
   ev.i2 <- i2;
   enqueue e ~owner ~at ev
+
+let call_thunk f _ _ = f ()
+
+let schedule e ?owner ~at f = schedule_call e ?owner ~at call_thunk f 0 0
 
 (* Release before run: the record is back on the free list while the
    body executes, so a body that schedules new events can recycle it
@@ -197,21 +170,11 @@ let schedule_call (type a) e ?owner ~at (h : a -> int -> int -> unit) (p : a)
    exactly the sequential-engine contract, with no Fun.protect closure
    on the hot path. *)
 let run_event e ev =
-  let op = ev.op in
-  if op = op_thunk then begin
-    let f = ev.fn in
-    poison_ev ev;
-    Lcm_util.Pool.release e.pool ev;
-    f ()
-  end
-  else if op = op_call then begin
-    let h : Obj.t -> int -> int -> unit = Obj.obj ev.hnd in
-    let p = ev.pay and a = ev.i1 and b = ev.i2 in
-    poison_ev ev;
-    Lcm_util.Pool.release e.pool ev;
-    h p a b
-  end
-  else failwith "Engine: released event reached execution (pool misuse)"
+  let h : Obj.t -> int -> int -> unit = Obj.obj ev.hnd in
+  let p = ev.pay and a = ev.i1 and b = ev.i2 in
+  poison_ev ev;
+  Lcm_util.Pool.release e.pool ev;
+  h p a b
 
 let set_choice_hook e hook = e.chooser <- hook
 

@@ -50,28 +50,27 @@ val create : ?hint:int -> unit -> t
 val now : t -> int
 (** Current simulated time, in cycles. *)
 
-val schedule : t -> ?owner:int -> at:int -> (unit -> unit) -> unit
-(** [schedule e ?owner ~at f] runs [f] when the clock reaches [at].  The
-    event record itself is pooled; the closure [f] is the caller's own
-    allocation — hot paths that want to avoid it use {!schedule_call}.
-    [owner] is the simulated node the event belongs to (a message's
-    destination, a timer's node).  It never affects execution order: it
-    is the ownership hint a {!set_choice_hook} controller sees next to
-    the event's stamp ([-1] when omitted).
-    @raise Invalid_argument if [at] is in the past. *)
-
 val schedule_call :
   t -> ?owner:int -> at:int -> ('a -> int -> int -> unit) -> 'a -> int -> int
   -> unit
 (** [schedule_call e ?owner ~at h p i1 i2] runs [h p i1 i2] when the
-    clock reaches [at] — the allocation-free scheduling path.  [h] is
-    meant to be a {e preallocated} handler (one closure per network /
-    machine, not per event); [p] is its payload and [i1]/[i2] ride in
-    unboxed int slots (an arrival time, a node id).  With a pooled
-    event record carrying all four, nothing is allocated per call.
-    [owner] is the choice-hook ownership hint, as in {!schedule}.
-    Ordering, budgets and watchdog semantics are identical to
-    {!schedule}.
+    clock reaches [at].  This is the engine's one event form: a pooled
+    record carrying a handler, its payload [p] and two unboxed int slots
+    (an arrival time, a node id).  [h] is meant to be a {e preallocated}
+    handler (one closure per network / machine, not per event), so
+    nothing is allocated per call.  [owner] is the simulated node the
+    event belongs to (a message's destination, a timer's node).  It never
+    affects execution order: it is the ownership hint a
+    {!set_choice_hook} controller sees next to the event's stamp ([-1]
+    when omitted).
+    @raise Invalid_argument if [at] is in the past. *)
+
+val schedule : t -> ?owner:int -> at:int -> (unit -> unit) -> unit
+(** [schedule e ?owner ~at f] runs [f] when the clock reaches [at]: the
+    event [schedule_call e ?owner ~at (fun f _ _ -> f ()) f 0 0], so
+    ordering, budgets and watchdog semantics are exactly
+    {!schedule_call}'s.  The record is pooled; the closure [f] is the
+    caller's own allocation.
     @raise Invalid_argument if [at] is in the past. *)
 
 val set_stall_limit : t -> int option -> unit

@@ -88,10 +88,10 @@ and t = {
          id (see Engine.schedule_call); installed right after creation *)
   mutable trace : Trace.t option;
   m_msg_pool : msg_cell Lcm_util.Pool.t;
-      (* free-list of in-flight protocol-message cells (see [send_call]) *)
+      (* free-list of in-flight protocol-message cells (see [send]) *)
 }
 
-(* One in-flight [send_call] message: the receive-side handler and its
+(* One in-flight [send] message: the receive-side handler and its
    payload (an existential pair, same discipline as
    [Engine.schedule_call]) plus two integer riders.  Cells come from
    [m_msg_pool] and are released at delivery, so steady-state protocol
@@ -429,28 +429,15 @@ let set_handlers t ~read_fault ~write_fault ~directive =
 let set_evict_handler t f = t.on_evict <- f
 let set_read_observer t f = t.on_read_hit <- f
 
-let send t ~src ~dst ~words ~tag ~at k =
-  (* The network layer records Msg_send/Msg_recv; this layer records the
-     protocol-processor occupancy interval the message induces.  Protocol
-     traffic always takes the reliable path: without a fault plan it is
-     the plain send, with one it gets exactly-once in-order delivery, so
-     the protocol handlers never see drops or duplicates. *)
-  Lcm_net.Network.send_reliable t.m_network ~src ~dst ~words ~tag ~at
-    (fun ~arrival ->
-      let dnode = t.m_nodes.(dst) in
-      let start = max arrival dnode.handler_free in
-      let finish = start + t.m_costs.Lcm_sim.Costs.handler_occupancy in
-      dnode.handler_free <- finish;
-      Stats.Handle.incr t.h_handler_runs;
-      trace_emit t ~time:start (Trace.Handler { node = dst; finish });
-      k dnode ~now:finish)
-
-(* [send]'s allocation-free sibling: the receive handler and payload ride
-   a pooled message cell through the network's pooled engine event, so an
-   untraced fault-free protocol message allocates nothing at all.  The
-   cell is recycled at delivery; exactly-once transport (below) is what
-   makes that sound — a fire-and-forget path would leak cells on drops
-   and double-run them on duplicates. *)
+(* A protocol message: the receive handler and payload ride a pooled
+   message cell through the network's pooled engine event, so an untraced
+   fault-free protocol message allocates nothing at all.  The network layer
+   records Msg_send/Msg_recv; this layer records the protocol-processor
+   occupancy interval the message induces.  Protocol traffic always takes
+   the reliable path: without a fault plan it is the plain send, with one
+   it gets exactly-once in-order delivery, so the protocol handlers never
+   see drops or duplicates — and the cell, recycled at delivery, is never
+   leaked by a drop or run twice by a duplicate. *)
 
 let recv_msg_cell (c : msg_cell) arrival _x =
   let t : t = Obj.obj c.mc_t in
@@ -466,7 +453,7 @@ let recv_msg_cell (c : msg_cell) arrival _x =
   Lcm_util.Pool.release t.m_msg_pool c;
   h p dnode finish b x
 
-let send_call (type a) t ~src ~dst ~words ~tag ~at
+let send (type a) t ~src ~dst ~words ~tag ~at
     (h : a -> node -> int -> int -> int -> unit) (p : a) b x =
   let c = Lcm_util.Pool.acquire t.m_msg_pool in
   c.mc_t <- Obj.repr t;

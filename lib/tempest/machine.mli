@@ -49,7 +49,7 @@ val create :
     {!Lcm_sim.Costs.t.hw_miss} extra cycles (default: no hardware cache —
     every local access costs one cycle).  [faults] makes the interconnect
     unreliable per the plan (see {!Lcm_net.Faults}): protocol messaging
-    then rides {!Lcm_net.Network.send_reliable} and the engine's quiescence
+    then rides the network's reliable transport and the engine's quiescence
     watchdog is armed with the plan's stall limit. *)
 
 (** {1 Machine accessors} *)
@@ -138,33 +138,21 @@ val send :
   words:int ->
   tag:string ->
   at:int ->
-  (node -> now:int -> unit) ->
-  unit
-(** [send t ~src ~dst ~words ~tag ~at k] transmits a protocol message.  [k]
-    runs on the destination's protocol processor; [now] is the time its
-    handler occupancy completes, i.e. the timestamp any reply should carry. *)
-
-val send_call :
-  t ->
-  src:int ->
-  dst:int ->
-  words:int ->
-  tag:string ->
-  at:int ->
   ('a -> node -> int -> int -> int -> unit) ->
   'a ->
   int ->
   int ->
   unit
-(** [send_call t ~src ~dst ~words ~tag ~at h p b x] is {!send} for hot
-    protocol paths: [h p dnode now b x] runs on the destination's
-    protocol processor, where [now] is the occupancy-completion time of
-    {!send}'s [k].  [h] is meant to be preallocated (per protocol
-    instance, not per message); [p] is its payload and [b]/[x] are
-    integer riders (a block number, a packed request descriptor).  The
-    four travel in a pooled message cell recycled at delivery, so a
-    steady-state message allocates nothing.  Timing, statistics, tracing
-    and exactly-once transport are identical to {!send}. *)
+(** [send t ~src ~dst ~words ~tag ~at h p b x] transmits a protocol
+    message.  [h p dnode now b x] runs on the destination's protocol
+    processor [dnode]; [now] is the time its handler occupancy completes,
+    i.e. the timestamp any reply should carry.  [h] is meant to be
+    preallocated (per protocol instance, not per message); [p] is its
+    payload and [b]/[x] are integer riders (a block number, a packed
+    request descriptor).  The four travel in a pooled message cell
+    recycled at delivery, so a steady-state message allocates nothing.
+    The message rides {!Lcm_net.Network.send_reliable_call}, so it is
+    delivered exactly once even under a fault plan. *)
 
 val resume : node -> now:int -> cost:int -> (unit -> unit) -> unit
 (** [resume n ~now ~cost retry] returns control to a suspended fiber: sets

@@ -5,6 +5,12 @@ open Lcm_net
 module Engine = Lcm_sim.Engine
 module Stats = Lcm_util.Stats
 
+(* The closure form of a send: [k ~arrival] runs at delivery. *)
+let send net ~src ~dst ~words ?tag ~at k =
+  Network.send_reliable_call net ~src ~dst ~words ?tag ~at
+    (fun k arrival _ -> k ~arrival)
+    k 0
+
 let mk_net ?faults () =
   let engine = Engine.create () in
   let stats = Stats.create () in
@@ -166,21 +172,21 @@ let test_engine_sparse_schedule_is_not_a_stall () =
   Alcotest.(check int) "jumped the gap" 5009 (Engine.now e)
 
 (* ------------------------------------------------------------------ *)
-(* Lossy path: drops are deterministic and counted                     *)
+(* Lossy path (retransmission off): drops are deterministic and counted *)
 (* ------------------------------------------------------------------ *)
 
 let lossy_workload plan =
   let engine, stats, net = mk_net ~faults:plan () in
   let delivered = ref 0 in
   for i = 0 to 99 do
-    Network.send net ~src:(i mod 3) ~dst:3 ~words:4 ~tag:"w" ~at:(i * 7)
+    send net ~src:(i mod 3) ~dst:3 ~words:4 ~tag:"w" ~at:(i * 7)
       (fun ~arrival:_ -> incr delivered)
   done;
   Engine.run engine;
   (!delivered, Stats.counters stats, Stats.samples stats)
 
 let test_lossy_drops_replay () =
-  let plan = Faults.make ~drop:0.2 ~dup:0.1 ~jitter:5 ~seed:11 () in
+  let plan = Faults.make ~drop:0.2 ~dup:0.1 ~jitter:5 ~retransmit:false ~seed:11 () in
   let d1, c1, s1 = lossy_workload plan in
   let d2, c2, s2 = lossy_workload plan in
   Alcotest.(check int) "same deliveries" d1 d2;
@@ -191,7 +197,7 @@ let test_lossy_drops_replay () =
   Alcotest.(check bool) "identical counters" true (c1 = c2);
   Alcotest.(check bool) "identical samples" true (s1 = s2);
   (* a different fault seed gives a different (but still valid) outcome *)
-  let _, c3, _ = lossy_workload (Faults.make ~drop:0.2 ~dup:0.1 ~jitter:5 ~seed:12 ()) in
+  let _, c3, _ = lossy_workload (Faults.make ~drop:0.2 ~dup:0.1 ~jitter:5 ~retransmit:false ~seed:12 ()) in
   Alcotest.(check bool) "different seed, different decisions" true (c1 <> c3)
 
 let test_link_down_blackholes () =
@@ -200,11 +206,11 @@ let test_link_down_blackholes () =
   let plan =
     Faults.make
       ~down:[ { Faults.w_src = None; w_dst = None; from_t = 0; until_t = 1_000_000 } ]
-      ~seed:1 ()
+      ~retransmit:false ~seed:1 ()
   in
   let engine, stats, net = mk_net ~faults:plan () in
   let delivered = ref 0 in
-  Network.send net ~src:0 ~dst:1 ~words:4 ~tag:"w" ~at:0 (fun ~arrival:_ ->
+  send net ~src:0 ~dst:1 ~words:4 ~tag:"w" ~at:0 (fun ~arrival:_ ->
       incr delivered);
   Engine.run engine;
   Alcotest.(check int) "nothing delivered" 0 !delivered;
@@ -218,7 +224,7 @@ let test_link_down_blackholes () =
 let test_reliable_without_plan_is_plain_send () =
   let engine, stats, net = mk_net () in
   let arrived = ref (-1) in
-  Network.send_reliable net ~src:0 ~dst:1 ~words:8 ~tag:"t" ~at:100
+  send net ~src:0 ~dst:1 ~words:8 ~tag:"t" ~at:100
     (fun ~arrival -> arrived := arrival);
   Engine.run engine;
   Alcotest.(check int) "same arrival as send"
@@ -270,7 +276,7 @@ let test_reliable_exactly_once_under_drops () =
   let order = Hashtbl.create 8 in
   for i = 0 to n - 1 do
     let src = i mod 3 in
-    Network.send_reliable net ~src ~dst:3 ~words:4 ~tag:"w" ~at:(i * 3)
+    send net ~src ~dst:3 ~words:4 ~tag:"w" ~at:(i * 3)
       (fun ~arrival:_ ->
         counts.(i) <- counts.(i) + 1;
         let prev = Option.value (Hashtbl.find_opt order src) ~default:[] in
@@ -304,7 +310,7 @@ let test_reliable_rides_out_link_flap () =
   in
   let engine, stats, net = mk_net ~faults:plan () in
   let arrived = ref (-1) in
-  Network.send_reliable net ~src:0 ~dst:1 ~words:4 ~tag:"w" ~at:0
+  send net ~src:0 ~dst:1 ~words:4 ~tag:"w" ~at:0
     (fun ~arrival -> arrived := arrival);
   Engine.run engine;
   Alcotest.(check bool) "delivered after the window" true (!arrived >= 400);
@@ -316,7 +322,7 @@ let test_reliable_rides_out_link_flap () =
 let test_reliable_unreachable_after_retry_cap () =
   let plan = Faults.make ~drop:1.0 ~rto:8 ~max_retries:3 ~seed:1 () in
   let engine, stats, net = mk_net ~faults:plan () in
-  Network.send_reliable net ~src:0 ~dst:1 ~words:4 ~tag:"req" ~at:0
+  send net ~src:0 ~dst:1 ~words:4 ~tag:"req" ~at:0
     (fun ~arrival:_ -> Alcotest.fail "must never deliver");
   (try
      Engine.run engine;
@@ -355,7 +361,7 @@ let prop_reliable_exactly_once =
         List.iteri
           (fun i (src, doff, words) ->
             let dst = (src + 1 + doff) mod 4 in
-            Network.send_reliable net ~src ~dst ~words ~tag:"p" ~at:(i * 2)
+            send net ~src ~dst ~words ~tag:"p" ~at:(i * 2)
               (fun ~arrival:_ ->
                 counts.(i) <- counts.(i) + 1;
                 let chan = (src, dst) in
@@ -384,14 +390,22 @@ let prop_reliable_exactly_once =
 (* Full stack: stress harness over an unreliable interconnect          *)
 (* ------------------------------------------------------------------ *)
 
+(* With Pool.debug on, every pooled record (engine events, reliable
+   transport cells, machine message cells, directory waiters) is poisoned
+   at release and a double release raises, so a recycled cell still in use
+   across drops, duplicates and retransmissions fails here loudly. *)
 let fault_stress_policy policy () =
   let plan =
     match Lcm_net.Faults.of_profile "chaos" ~rate:0.05 ~seed:7 with
     | Ok p -> p
     | Error e -> Alcotest.fail e
   in
+  let saved = !Lcm_util.Pool.debug in
+  Lcm_util.Pool.debug := true;
   match
-    Lcm_harness.Stress.run ~policy ~faults:plan ~cases:6 ~seed:1 ()
+    Fun.protect
+      ~finally:(fun () -> Lcm_util.Pool.debug := saved)
+      (fun () -> Lcm_harness.Stress.run ~policy ~faults:plan ~cases:6 ~seed:1 ())
   with
   | Ok () -> ()
   | Error e -> Alcotest.fail e

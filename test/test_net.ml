@@ -2,6 +2,12 @@
 
 open Lcm_net
 
+(* The closure form of a send: [k ~arrival] runs at delivery. *)
+let send net ~src ~dst ~words ?tag ~at k =
+  Network.send_reliable_call net ~src ~dst ~words ?tag ~at
+    (fun k arrival _ -> k ~arrival)
+    k 0
+
 let test_crossbar_hops () =
   Alcotest.(check int) "self" 0 (Topology.hops Crossbar ~src:3 ~dst:3);
   Alcotest.(check int) "other" 1 (Topology.hops Crossbar ~src:0 ~dst:31)
@@ -80,7 +86,7 @@ let test_network_latency_model () =
 let test_network_delivery () =
   let engine, stats, net = mk_net () in
   let arrived = ref (-1) in
-  Network.send net ~src:0 ~dst:1 ~words:8 ~tag:"t" ~at:100 (fun ~arrival ->
+  send net ~src:0 ~dst:1 ~words:8 ~tag:"t" ~at:100 (fun ~arrival ->
       arrived := arrival);
   Lcm_sim.Engine.run engine;
   Alcotest.(check int) "arrival time" (100 + Network.latency net ~src:0 ~dst:1 ~words:8)
@@ -93,9 +99,9 @@ let test_network_fifo_per_channel () =
   let engine, _, net = mk_net () in
   let log = ref [] in
   (* Second message is smaller (lower latency) but must not overtake. *)
-  Network.send net ~src:0 ~dst:1 ~words:32 ~tag:"big" ~at:0 (fun ~arrival:_ ->
+  send net ~src:0 ~dst:1 ~words:32 ~tag:"big" ~at:0 (fun ~arrival:_ ->
       log := "big" :: !log);
-  Network.send net ~src:0 ~dst:1 ~words:1 ~tag:"small" ~at:1 (fun ~arrival:_ ->
+  send net ~src:0 ~dst:1 ~words:1 ~tag:"small" ~at:1 (fun ~arrival:_ ->
       log := "small" :: !log);
   Lcm_sim.Engine.run engine;
   Alcotest.(check (list string)) "fifo" [ "big"; "small" ] (List.rev !log)
@@ -103,9 +109,9 @@ let test_network_fifo_per_channel () =
 let test_network_distinct_channels_independent () =
   let engine, _, net = mk_net () in
   let log = ref [] in
-  Network.send net ~src:0 ~dst:1 ~words:32 ~tag:"slow" ~at:0 (fun ~arrival:_ ->
+  send net ~src:0 ~dst:1 ~words:32 ~tag:"slow" ~at:0 (fun ~arrival:_ ->
       log := "slow" :: !log);
-  Network.send net ~src:2 ~dst:3 ~words:1 ~tag:"fast" ~at:0 (fun ~arrival:_ ->
+  send net ~src:2 ~dst:3 ~words:1 ~tag:"fast" ~at:0 (fun ~arrival:_ ->
       log := "fast" :: !log);
   Lcm_sim.Engine.run engine;
   Alcotest.(check (list string)) "no cross-channel ordering" [ "fast"; "slow" ]
@@ -114,29 +120,29 @@ let test_network_distinct_channels_independent () =
 let test_network_bad_node () =
   let _, _, net = mk_net () in
   Alcotest.check_raises "dst range"
-    (Invalid_argument "Network.send: dst 4 out of range [0, 3]") (fun () ->
-      Network.send net ~src:0 ~dst:4 ~words:1 ~at:0 (fun ~arrival:_ -> ()));
+    (Invalid_argument "Network.send_reliable_call: dst 4 out of range [0, 3]") (fun () ->
+      send net ~src:0 ~dst:4 ~words:1 ~at:0 (fun ~arrival:_ -> ()));
   Alcotest.check_raises "src range"
-    (Invalid_argument "Network.send: src -1 out of range [0, 3]") (fun () ->
-      Network.send net ~src:(-1) ~dst:0 ~words:1 ~at:0 (fun ~arrival:_ -> ()))
+    (Invalid_argument "Network.send_reliable_call: src -1 out of range [0, 3]") (fun () ->
+      send net ~src:(-1) ~dst:0 ~words:1 ~at:0 (fun ~arrival:_ -> ()))
 
 let test_network_rejects_nonpositive_words () =
   let _, _, net = mk_net () in
   Alcotest.check_raises "zero words"
-    (Invalid_argument "Network.send: words 0 out of range (must be >= 1)")
+    (Invalid_argument "Network.send_reliable_call: words 0 out of range (must be >= 1)")
     (fun () ->
-      Network.send net ~src:0 ~dst:1 ~words:0 ~at:0 (fun ~arrival:_ -> ()));
+      send net ~src:0 ~dst:1 ~words:0 ~at:0 (fun ~arrival:_ -> ()));
   Alcotest.check_raises "negative words"
-    (Invalid_argument "Network.send: words -3 out of range (must be >= 1)")
+    (Invalid_argument "Network.send_reliable_call: words -3 out of range (must be >= 1)")
     (fun () ->
-      Network.send net ~src:0 ~dst:1 ~words:(-3) ~at:0 (fun ~arrival:_ -> ()))
+      send net ~src:0 ~dst:1 ~words:(-3) ~at:0 (fun ~arrival:_ -> ()))
 
 let test_network_rejects_negative_at () =
   let _, _, net = mk_net () in
   Alcotest.check_raises "negative at"
-    (Invalid_argument "Network.send: at -1 out of range (must be >= 0)")
+    (Invalid_argument "Network.send_reliable_call: at -1 out of range (must be >= 0)")
     (fun () ->
-      Network.send net ~src:0 ~dst:1 ~words:1 ~at:(-1) (fun ~arrival:_ -> ()))
+      send net ~src:0 ~dst:1 ~words:1 ~at:(-1) (fun ~arrival:_ -> ()))
 
 let test_network_loopback_semantics () =
   (* src = dst: delivered at [at + msg_fixed], counted, but no channel
@@ -145,9 +151,9 @@ let test_network_loopback_semantics () =
   let engine, stats, net = mk_net () in
   let c = Lcm_sim.Costs.default in
   let arrivals = ref [] in
-  Network.send net ~src:2 ~dst:2 ~words:8 ~tag:"self" ~at:100 (fun ~arrival ->
+  send net ~src:2 ~dst:2 ~words:8 ~tag:"self" ~at:100 (fun ~arrival ->
       arrivals := ("a", arrival) :: !arrivals);
-  Network.send net ~src:2 ~dst:2 ~words:8 ~tag:"self" ~at:100 (fun ~arrival ->
+  send net ~src:2 ~dst:2 ~words:8 ~tag:"self" ~at:100 (fun ~arrival ->
       arrivals := ("b", arrival) :: !arrivals);
   Lcm_sim.Engine.run engine;
   let fixed = c.Lcm_sim.Costs.msg_fixed in
@@ -166,7 +172,7 @@ let test_network_clamps_to_engine_now () =
   let engine, _, net = mk_net () in
   Lcm_sim.Engine.schedule engine ~at:10_000 (fun () ->
       (* a handler reacting to an old message sends "in the past" *)
-      Network.send net ~src:0 ~dst:1 ~words:1 ~tag:"late" ~at:0 (fun ~arrival ->
+      send net ~src:0 ~dst:1 ~words:1 ~tag:"late" ~at:0 (fun ~arrival ->
           Alcotest.(check bool) "not before now" true (arrival >= 10_000)));
   Lcm_sim.Engine.run engine
 
@@ -175,9 +181,9 @@ let test_network_bandwidth_serializes () =
      the first message's transmission time later, not a fixed 1 cycle. *)
   let engine, _, net = mk_net () in
   let arrivals = ref [] in
-  Network.send net ~src:0 ~dst:1 ~words:8 ~tag:"a" ~at:0 (fun ~arrival ->
+  send net ~src:0 ~dst:1 ~words:8 ~tag:"a" ~at:0 (fun ~arrival ->
       arrivals := arrival :: !arrivals);
-  Network.send net ~src:0 ~dst:1 ~words:8 ~tag:"b" ~at:0 (fun ~arrival ->
+  send net ~src:0 ~dst:1 ~words:8 ~tag:"b" ~at:0 (fun ~arrival ->
       arrivals := arrival :: !arrivals);
   Lcm_sim.Engine.run engine;
   match List.rev !arrivals with
@@ -209,7 +215,7 @@ let prop_network_channel_occupancy =
         (fun (src, doff, words) ->
           (* loopback channels have no occupancy; keep src <> dst *)
           let dst = (src + 1 + doff) mod 4 in
-          Network.send net ~src ~dst ~words ~tag:"p" ~at:0 (fun ~arrival ->
+          send net ~src ~dst ~words ~tag:"p" ~at:0 (fun ~arrival ->
               let chan = (src, dst) in
               let prev = Option.value (Hashtbl.find_opt log chan) ~default:[] in
               Hashtbl.replace log chan ((arrival, words) :: prev)))
@@ -241,7 +247,7 @@ let prop_network_delivers_everything_fifo =
       let delivered = Hashtbl.create 16 in
       List.iteri
         (fun seq (src, dst, words) ->
-          Network.send net ~src ~dst ~words ~tag:"p" ~at:0 (fun ~arrival:_ ->
+          send net ~src ~dst ~words ~tag:"p" ~at:0 (fun ~arrival:_ ->
               let chan = (src, dst) in
               let prev = Option.value (Hashtbl.find_opt delivered chan) ~default:[] in
               Hashtbl.replace delivered chan (seq :: prev)))
@@ -269,9 +275,9 @@ let test_network_stall_sample_and_send_stamp () =
   let tr = Lcm_sim.Trace.create ~capacity:16 in
   Network.set_trace net (Some tr);
   let arrivals = ref [] in
-  Network.send net ~src:0 ~dst:1 ~words:8 ~tag:"a" ~at:0 (fun ~arrival ->
+  send net ~src:0 ~dst:1 ~words:8 ~tag:"a" ~at:0 (fun ~arrival ->
       arrivals := arrival :: !arrivals);
-  Network.send net ~src:0 ~dst:1 ~words:8 ~tag:"b" ~at:0 (fun ~arrival ->
+  send net ~src:0 ~dst:1 ~words:8 ~tag:"b" ~at:0 (fun ~arrival ->
       arrivals := arrival :: !arrivals);
   Lcm_sim.Engine.run engine;
   let lat = Network.latency net ~src:0 ~dst:1 ~words:8 in
